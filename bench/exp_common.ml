@@ -11,90 +11,38 @@ let scheme_name = function
   | Clusters n -> Printf.sprintf "%d-page clusters" n
   | Oram_cached -> "ORAM"
 
-(* Build a system + heap for a scheme; returns (system, heap, finish)
-   where [finish ()] must be called after the workload data structures
-   are built to mark/pin regions and install the policy.  The returned
-   [vm_of] builds the workload-facing VM (instrumented for ORAM). *)
+(* Build a system + heap for a scheme.  [vm] is the workload-facing
+   memory interface (routed through the ORAM cache under [Oram_cached]);
+   [finish ()] must be called after the workload data structures are
+   built, to install the policy and mark the heap managed. *)
 type built = {
   sys : Harness.System.t;
   heap : Autarky.Allocator.t;
   vm : Workloads.Vm.t;
   finish : unit -> unit;
-      (** call after data structures are built: installs the policy and
-          pins/marks regions *)
 }
 
 let build ~scheme ~epc_frames ~epc_limit ~enclave_pages ~heap_pages
     ?(budget = 0) ?(oram_cache_pages = 0) ?(rate_limit = max_int) () =
-  let self_paging = scheme <> Baseline in
+  let spec : Harness.Policy.spec option =
+    match scheme with
+    | Baseline -> None
+    | Rate_limit -> Some (Rate_limit { max_faults_per_unit = rate_limit })
+    | Clusters _ -> Some Clusters
+    | Oram_cached ->
+      Some (Oram { cache_pages = oram_cache_pages; tree_seed = 1234 })
+  in
   let budget = if budget = 0 then max 1 (epc_limit - 64) else budget in
   let sys =
-    Harness.System.create ~epc_frames ~epc_limit ~enclave_pages ~self_paging
-      ~budget ()
+    Harness.System.create ~epc_frames ~epc_limit ~enclave_pages
+      ~self_paging:(spec <> None) ~budget ()
   in
   let cluster_pages = match scheme with Clusters n -> n | _ -> 16 in
   let heap = Harness.System.allocator sys ~pages:heap_pages ~cluster_pages in
-  match scheme with
-  | Baseline ->
-    let vm = Harness.System.vm sys () in
-    { sys; heap; vm; finish = (fun () -> ()) }
-  | Rate_limit ->
-    let rt = Harness.System.runtime_exn sys in
-    let rl =
-      Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:rate_limit ()
-    in
-    let vm =
-      Harness.System.vm sys
-        ~on_progress:(fun () -> Autarky.Policy_rate_limit.progress rl)
-        ()
-    in
-    let finish () =
-      Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-      Harness.System.manage sys (Autarky.Allocator.allocated_pages heap)
-    in
-    { sys; heap; vm; finish }
-  | Clusters _ ->
-    let rt = Harness.System.runtime_exn sys in
-    let vm = Harness.System.vm sys () in
-    let finish () =
-      let pc =
-        Autarky.Policy_clusters.create ~runtime:rt
-          ~clusters:(Autarky.Allocator.clusters heap)
-      in
-      Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-      Harness.System.manage sys (Autarky.Allocator.allocated_pages heap)
-    in
-    { sys; heap; vm; finish }
-  | Oram_cached ->
-    let rt = Harness.System.runtime_exn sys in
-    assert (oram_cache_pages > 0);
-    let cache_base = Harness.System.reserve sys ~pages:oram_cache_pages in
-    let data_base = Autarky.Allocator.base_vpage heap in
-    let oram =
-      Oram.Path_oram.create
-        ~clock:(Harness.System.clock sys)
-        ~rng:(Metrics.Rng.create ~seed:1234L)
-        ~n_blocks:heap_pages ()
-    in
-    let cache =
-      Autarky.Oram_cache.create ~machine:(Harness.System.machine sys)
-        ~enclave:(Harness.System.enclave sys)
-        ~touch:(fun a k -> Sgx.Cpu.access (Harness.System.cpu sys) a k)
-        ~oram ~data_base_vpage:data_base ~n_pages:heap_pages
-        ~cache_base_vpage:cache_base ~capacity_pages:oram_cache_pages ()
-    in
-    let pol = Autarky.Policy_oram.create ~runtime:rt ~cache in
-    let instrument =
-      Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-          Sgx.Cpu.access (Harness.System.cpu sys) a k)
-    in
-    let vm = Harness.System.vm sys ~instrument () in
-    (* The cache must be pinned before the first instrumented access. *)
-    Harness.System.pin sys (List.init oram_cache_pages (fun i -> cache_base + i));
-    let finish () =
-      Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy pol)
-    in
-    { sys; heap; vm; finish }
+  let slot = Harness.Policy.create sys ~heap in
+  Option.iter (Harness.Policy.prepare slot) spec;
+  let finish () = if spec <> None then Harness.Policy.install slot in
+  { sys; heap; vm = Harness.Policy.vm slot; finish }
 
 let throughput_of_cycles ~ops cycles =
   let m = Metrics.Cost_model.default in

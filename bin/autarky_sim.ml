@@ -54,9 +54,20 @@ let workload_arg =
   in
   Arg.(value & opt string "kvstore" & info [ "w"; "workload" ] ~doc)
 
+(* A scheme is a heap policy ([Harness.Policy]'s name table), or
+   [None] for the non-self-paging baseline. *)
+let schemes =
+  ("baseline", None)
+  :: List.map (fun k -> (Harness.Policy.name k, Some k)) Harness.Policy.all
+
+let scheme_name s = fst (List.find (fun (_, v) -> v = s) schemes)
+
 let scheme_arg =
-  let doc = "Scheme: baseline, rate-limit, clusters, oram." in
-  Arg.(value & opt string "rate-limit" & info [ "s"; "scheme" ] ~doc)
+  let doc = "Scheme: " ^ Arg.doc_alts_enum schemes ^ "." in
+  Arg.(
+    value
+    & opt (enum schemes) (Some Harness.Policy.Rate_limit)
+    & info [ "s"; "scheme" ] ~doc)
 
 let cluster_pages_arg =
   let doc = "Pages per cluster (clusters scheme)." in
@@ -95,138 +106,72 @@ type built = {
   b_unit : string;
 }
 
-let build_system ~scheme ~epc_limit ~cluster_pages ~trace ~on_system =
-  let self_paging = scheme <> "baseline" in
-  let enclave_pages = 8 * epc_limit in
-  let sys =
-    Harness.System.create ~trace ~epc_frames:(epc_limit + 1_024) ~epc_limit
-      ~enclave_pages ~self_paging ~budget:(max 64 (epc_limit - 256)) ()
-  in
-  on_system sys;
-  let heap_pages = 4 * epc_limit in
-  let heap = Harness.System.allocator sys ~pages:heap_pages ~cluster_pages in
-  (sys, heap, heap_pages)
-
-(* One simulated platform + policy wiring + workload, shared by the
-   [run] and [trace] subcommands.  [on_system] runs as soon as the
-   platform exists (before any policy or workload construction) so the
-   trace subcommand can attach sinks that see the whole stream. *)
+(* One simulated platform (the perf-cell geometry scaled to --epc-mb)
+   + policy + workload, shared by the [run] and [trace] subcommands.
+   [on_system] runs as soon as the platform exists (before any policy or
+   workload construction) so the trace subcommand can attach sinks that
+   see the whole stream. *)
 let build_workload ?(trace = false) ?(on_system = fun _ -> ()) ~workload ~scheme
     ~cluster_pages ~epc_mb ~seed () =
-    let epc_limit = epc_mb * 1_048_576 / page in
-    let rng = Metrics.Rng.create ~seed:(Int64.of_int seed) in
-    let sys, heap, heap_pages =
-      build_system ~scheme ~epc_limit ~cluster_pages ~trace ~on_system
-    in
-    let alloc ~bytes = Autarky.Allocator.alloc heap ~bytes in
-    (* Policy/instrumentation wiring per scheme. *)
-    let progress_hook = ref (fun () -> ()) in
-    let instrument = ref None in
-    let finish = ref (fun () -> ()) in
-    (match scheme with
-    | "baseline" -> ()
-    | "rate-limit" ->
-      let rt = Harness.System.runtime_exn sys in
-      let rl = Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 () in
-      progress_hook := (fun () -> Autarky.Policy_rate_limit.progress rl);
-      finish :=
-        fun () ->
-          Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-          Harness.System.manage sys (Autarky.Allocator.allocated_pages heap)
-    | "clusters" ->
-      let rt = Harness.System.runtime_exn sys in
-      finish :=
-        fun () ->
-          let pc =
-            Autarky.Policy_clusters.create ~runtime:rt
-              ~clusters:(Autarky.Allocator.clusters heap)
-          in
-          Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-          Harness.System.manage sys (Autarky.Allocator.allocated_pages heap)
-    | "oram" ->
-      let rt = Harness.System.runtime_exn sys in
-      let cache_pages = max 64 (epc_limit * 2 / 3) in
-      let cache_base = Harness.System.reserve sys ~pages:cache_pages in
-      let oram =
-        Oram.Path_oram.create
-          ~clock:(Harness.System.clock sys)
-          ~rng:(Metrics.Rng.create ~seed:9L) ~n_blocks:heap_pages ()
+  let epc_limit = epc_mb * 1_048_576 / page in
+  let build vm ~alloc ~rng ~heap_pages =
+    match String.split_on_char ':' workload with
+    | [ "uthash" ] ->
+      let t =
+        Workloads.Uthash.create ~vm ~alloc ~rng ~n_items:(heap_pages * 12)
+          ~item_bytes:256 ~target_chain:10
       in
-      let cache =
-        Autarky.Oram_cache.create ~machine:(Harness.System.machine sys)
-          ~enclave:(Harness.System.enclave sys)
-          ~touch:(fun a k -> Sgx.Cpu.access (Harness.System.cpu sys) a k)
-          ~oram
-          ~data_base_vpage:(Autarky.Allocator.base_vpage heap)
-          ~n_pages:heap_pages ~cache_base_vpage:cache_base
-          ~capacity_pages:cache_pages ()
+      { wi_op = (fun i -> ignore (Workloads.Uthash.find t ~key:(i * 7919 mod Workloads.Uthash.n_items t)));
+        wi_unit = "lookups" }
+    | [ "kvstore" ] ->
+      let n_entries = heap_pages * 3 in
+      let kv =
+        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
       in
-      Harness.System.pin sys (List.init cache_pages (fun i -> cache_base + i));
-      let pol = Autarky.Policy_oram.create ~runtime:rt ~cache in
-      instrument :=
-        Some
-          (Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-               Sgx.Cpu.access (Harness.System.cpu sys) a k));
-      finish :=
-        fun () -> Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy pol)
-    | other -> failwith (Printf.sprintf "unknown scheme %S" other));
-    let vm =
-      match !instrument with
-      | Some i ->
-        Harness.System.vm sys ~instrument:i
-          ~on_progress:(fun () -> !progress_hook ())
-          ()
-      | None -> Harness.System.vm sys ~on_progress:(fun () -> !progress_hook ()) ()
-    in
-    (* Build the requested workload. *)
-    let wi =
-      match String.split_on_char ':' workload with
-      | [ "uthash" ] ->
-        let t =
-          Workloads.Uthash.create ~vm ~alloc ~rng ~n_items:(heap_pages * 12)
-            ~item_bytes:256 ~target_chain:10
-        in
-        { wi_op = (fun i -> ignore (Workloads.Uthash.find t ~key:(i * 7919 mod Workloads.Uthash.n_items t)));
-          wi_unit = "lookups" }
-      | [ "kvstore" ] ->
-        let n_entries = heap_pages * 3 in
-        let kv =
-          Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-        in
-        let dist = Metrics.Dist.scrambled_zipfian ~n:n_entries () in
-        let gen = Workloads.Ycsb.workload_c ~dist ~rng in
-        { wi_op =
-            (fun _ ->
-              match Workloads.Ycsb.next gen with
-              | Workloads.Ycsb.Get k -> ignore (Workloads.Kvstore.get kv ~key:k)
-              | _ -> ());
-          wi_unit = "GETs" }
-      | [ "spellcheck" ] ->
-        let d =
-          Workloads.Spellcheck.load_dictionary ~vm ~alloc ~rng ~name:"en"
-            ~n_words:20_000 ()
-        in
-        let dist = Metrics.Dist.zipfian ~n:20_000 () in
-        { wi_op = (fun _ -> ignore (Workloads.Spellcheck.check d ~word:(Metrics.Dist.sample dist rng)));
-          wi_unit = "words" }
-      | [ "jpeg" ] ->
-        let codec = Workloads.Jpeg.create ~vm ~alloc ~blocks_w:64 ~blocks_h:1 in
-        let image = Workloads.Jpeg.random_image ~rng ~blocks_w:64 ~blocks_h:1 () in
-        { wi_op = (fun _ -> Workloads.Jpeg.decode codec ~image ());
-          wi_unit = "block rows" }
-      | [ "fontrender" ] ->
-        let f = Workloads.Fontrender.create ~vm ~alloc ~glyphs:96 ~code_pages:20 in
-        { wi_op = (fun i -> Workloads.Fontrender.render_glyph f (i mod 96));
-          wi_unit = "glyphs" }
-      | [ "kernel"; name ] ->
-        let spec = Workloads.Kernels.find name in
-        { wi_op =
-            (fun _ -> Workloads.Kernels.run spec ~vm ~rng ~units:1 ());
-          wi_unit = "units" }
-      | _ -> failwith (Printf.sprintf "unknown workload %S" workload)
-    in
-    !finish ();
-    { b_sys = sys; b_op = wi.wi_op; b_unit = wi.wi_unit }
+      let dist = Metrics.Dist.scrambled_zipfian ~n:n_entries () in
+      let gen = Workloads.Ycsb.workload_c ~dist ~rng in
+      { wi_op =
+          (fun _ ->
+            match Workloads.Ycsb.next gen with
+            | Workloads.Ycsb.Get k -> ignore (Workloads.Kvstore.get kv ~key:k)
+            | _ -> ());
+        wi_unit = "GETs" }
+    | [ "spellcheck" ] ->
+      let d =
+        Workloads.Spellcheck.load_dictionary ~vm ~alloc ~rng ~name:"en"
+          ~n_words:20_000 ()
+      in
+      let dist = Metrics.Dist.zipfian ~n:20_000 () in
+      { wi_op = (fun _ -> ignore (Workloads.Spellcheck.check d ~word:(Metrics.Dist.sample dist rng)));
+        wi_unit = "words" }
+    | [ "jpeg" ] ->
+      let codec = Workloads.Jpeg.create ~vm ~alloc ~blocks_w:64 ~blocks_h:1 in
+      let image = Workloads.Jpeg.random_image ~rng ~blocks_w:64 ~blocks_h:1 () in
+      { wi_op = (fun _ -> Workloads.Jpeg.decode codec ~image ());
+        wi_unit = "block rows" }
+    | [ "fontrender" ] ->
+      let f = Workloads.Fontrender.create ~vm ~alloc ~glyphs:96 ~code_pages:20 in
+      { wi_op = (fun i -> Workloads.Fontrender.render_glyph f (i mod 96));
+        wi_unit = "glyphs" }
+    | [ "kernel"; name ] ->
+      let spec =
+        try Workloads.Kernels.find name
+        with Not_found -> failwith (Printf.sprintf "unknown kernel %S" name)
+      in
+      { wi_op =
+          (fun _ -> Workloads.Kernels.run spec ~vm ~rng ~units:1 ());
+        wi_unit = "units" }
+    | _ -> failwith (Printf.sprintf "unknown workload %S" workload)
+  in
+  match
+    Harness.Perf.cell ~trace ~on_system ~epc_limit ~cluster_pages
+      ~policy:scheme ~seed build
+  with
+  | sys, wi -> { b_sys = sys; b_op = wi.wi_op; b_unit = wi.wi_unit }
+  | exception (Failure msg | Invalid_argument msg) ->
+    (* An unknown workload, or a preload set over the pager budget. *)
+    Printf.eprintf "error      : %s\n" msg;
+    exit 1
 
 let run_cmd =
   let doc = "Run a workload under a protection scheme and report stats." in
@@ -239,7 +184,8 @@ let run_cmd =
             b.b_op i
           done)
     in
-    Printf.printf "workload   : %s under %s (EPC %d MiB)\n" workload scheme epc_mb;
+    Printf.printf "workload   : %s under %s (EPC %d MiB)\n" workload
+      (scheme_name scheme) epc_mb;
     Printf.printf "ops        : %d %s in %.3f ms simulated (%.0f/s)\n" ops
       b.b_unit
       (1000.0 *. r.Harness.Measure.seconds)
@@ -325,7 +271,7 @@ let trace_cmd =
     Trace.Recorder.close tr;
     close_oc ();
     Printf.fprintf summary_oc
-      "trace      : %s under %s, %d %s (seed %d)\n" workload scheme ops
+      "trace      : %s under %s, %d %s (seed %d)\n" workload (scheme_name scheme) ops
       b.b_unit seed;
     Printf.fprintf summary_oc
       "events     : %d emitted%s (ring retained %d of %d, dropped %d)\n"
@@ -980,7 +926,7 @@ let defend_cmd =
         (fun l ->
           Printf.printf "%-14s %s\n" l
             (String.concat " -> "
-               (List.map Serve.Tenant.policy_name
+               (List.map Harness.Policy.name
                   (Option.get (Defense.Defend.find_ladder l)))))
         Defense.Defend.ladder_names
     end

@@ -32,6 +32,7 @@ let create ~clusters ~base_vpage ~pages ~cluster_pages =
 
 let clusters t = t.clusters
 let base_vpage t = t.base
+let pages t = t.limit - t.base
 let end_vpage t = t.next_fresh
 let pages_in_use t = Hashtbl.length t.in_use
 

@@ -43,5 +43,9 @@ val allocated_pages : t -> Sgx.Types.vpage list
 
 val pages_in_use : t -> int
 val base_vpage : t -> Sgx.Types.vpage
+
+val pages : t -> int
+(** Size of the region, in pages. *)
+
 val end_vpage : t -> Sgx.Types.vpage
 (** One past the highest page ever handed out. *)

@@ -127,7 +127,7 @@ let emit_verdict (ctx : Engine.hook_ctx) ~tenant ~verdict ~policy ~detail =
 
 let record t ctx ts ~at ~verdict ~from_ ~to_ ~note =
   emit_verdict ctx ~tenant:(Tenant.name ts.ts_tenant) ~verdict
-    ~policy:(Tenant.policy_name to_) ~detail:ts.ts_rung;
+    ~policy:(Harness.Policy.name to_) ~detail:ts.ts_rung;
   if verdict <> Held || note <> "steady" then
     t.events <-
       {

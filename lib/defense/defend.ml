@@ -271,7 +271,7 @@ let run_cell ~quick ~wave_kind ~ladder_name ~dc_ladder ~seed =
     dl_de_escalations = Controller.de_escalations ctl;
     dl_failed_switches = Controller.failed_switches ctl;
     dl_policy_switches = Tenant.policy_switches vic_tn;
-    dl_final_policy = Tenant.policy_name (Tenant.active_policy vic_tn);
+    dl_final_policy = Harness.Policy.name (Tenant.active_policy vic_tn);
     dl_victim_refused = Tenant.state vic_tn = Tenant.Refused;
     dl_bits_observed = Waves.bits wave;
     dl_bits_terminations = float_of_int (Tenant.terminations vic_tn);
@@ -377,8 +377,8 @@ let to_json ?wall ~quick ~seed cells =
                e.Controller.ev_at
                (json_escape e.Controller.ev_tenant)
                (Controller.verdict_name e.Controller.ev_verdict)
-               (Tenant.policy_name e.Controller.ev_from)
-               (Tenant.policy_name e.Controller.ev_to)
+               (Harness.Policy.name e.Controller.ev_from)
+               (Harness.Policy.name e.Controller.ev_to)
                e.Controller.ev_rung
                (json_escape e.Controller.ev_note)
                (if j = tlast then "" else ", ")))

@@ -137,113 +137,81 @@ let micro_section ~quick =
 
 (* --- matrix section --------------------------------------------------- *)
 
-(* One cell = one fresh platform: a self-paging enclave under the given
-   policy and paging mechanism, driven by a fixed-seed workload. *)
-let run_cell ~workload ~policy ~mech ~seed ~ops =
-  (* 4 MiB EPC: small enough that the 16 MiB heap pages heavily, large
-     enough that the pinned ORAM cache (2/3 of EPC) fits the paging
-     budget (EPC - 256). *)
-  let epc_limit = 1_024 in
-  let enclave_pages = 8 * epc_limit in
+(* The default cell geometry: a 4 MiB EPC, small enough that the 16 MiB
+   heap pages heavily, large enough that the pinned ORAM cache (2/3 of
+   EPC) fits the paging budget (EPC - 256). *)
+let cell ?(trace = false) ?(on_system = fun _ -> ()) ?(mech = `Sgx1)
+    ?(epc_limit = 1_024) ?(cluster_pages = 10) ~policy ~seed build =
   let rng = Metrics.Rng.create ~seed:(Int64.of_int seed) in
   let sys =
-    System.create ~mech ~epc_frames:(epc_limit + 1_024) ~epc_limit
-      ~enclave_pages ~self_paging:true
+    System.create ~mech ~trace ~epc_frames:(epc_limit + 1_024) ~epc_limit
+      ~enclave_pages:(8 * epc_limit) ~self_paging:(policy <> None)
       ~budget:(max 64 (epc_limit - 256))
       ()
   in
+  on_system sys;
   let heap_pages = 4 * epc_limit in
-  let heap = System.allocator sys ~pages:heap_pages ~cluster_pages:10 in
-  let alloc ~bytes = Autarky.Allocator.alloc heap ~bytes in
-  let rt = System.runtime_exn sys in
-  let progress_hook = ref (fun () -> ()) in
-  let instrument = ref None in
-  let finish = ref (fun () -> ()) in
-  (match policy with
-  | "rate-limit" ->
-    let rl =
-      Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 ()
-    in
-    progress_hook := (fun () -> Autarky.Policy_rate_limit.progress rl);
-    finish :=
-      fun () ->
-        Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-        System.manage sys (Autarky.Allocator.allocated_pages heap)
-  | "clusters" ->
-    finish :=
-      fun () ->
-        let pc =
-          Autarky.Policy_clusters.create ~runtime:rt
-            ~clusters:(Autarky.Allocator.clusters heap)
-        in
-        Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-        System.manage sys (Autarky.Allocator.allocated_pages heap)
-  | "oram" ->
-    let cache_pages = max 64 (epc_limit * 2 / 3) in
-    let cache_base = System.reserve sys ~pages:cache_pages in
-    let oram =
-      Oram.Path_oram.create ~clock:(System.clock sys)
-        ~rng:(Metrics.Rng.create ~seed:9L) ~n_blocks:heap_pages ()
-    in
-    let cache =
-      Autarky.Oram_cache.create ~machine:(System.machine sys)
-        ~enclave:(System.enclave sys)
-        ~touch:(fun a k -> Sgx.Cpu.access (System.cpu sys) a k)
-        ~oram
-        ~data_base_vpage:(Autarky.Allocator.base_vpage heap)
-        ~n_pages:heap_pages ~cache_base_vpage:cache_base
-        ~capacity_pages:cache_pages ()
-    in
-    System.pin sys (List.init cache_pages (fun i -> cache_base + i));
-    let pol = Autarky.Policy_oram.create ~runtime:rt ~cache in
-    instrument :=
-      Some
-        (Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-             Sgx.Cpu.access (System.cpu sys) a k));
-    finish := fun () -> Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy pol)
-  | other -> invalid_arg (Printf.sprintf "Perf.run_cell: unknown policy %S" other));
-  let vm =
-    match !instrument with
-    | Some i ->
-      System.vm sys ~instrument:i ~on_progress:(fun () -> !progress_hook ()) ()
-    | None -> System.vm sys ~on_progress:(fun () -> !progress_hook ()) ()
+  let heap = System.allocator sys ~pages:heap_pages ~cluster_pages in
+  let slot = Policy.create sys ~heap in
+  let spec =
+    Policy.spec ~oram_cache_pages:(max 64 (epc_limit * 2 / 3)) ~oram_tree_seed:9
   in
-  let op =
-    match workload with
-    | "ycsb" ->
-      let n_entries = heap_pages * 3 in
-      let kv =
-        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-      in
-      let dist = Metrics.Dist.scrambled_zipfian ~n:n_entries () in
-      let gen = Workloads.Ycsb.workload_c ~dist ~rng in
-      fun _ ->
-        (match Workloads.Ycsb.next gen with
-        | Workloads.Ycsb.Get k -> ignore (Workloads.Kvstore.get kv ~key:k)
-        | _ -> ())
-    | "uthash" ->
-      let t =
-        Workloads.Uthash.create ~vm ~alloc ~rng ~n_items:(heap_pages * 12)
-          ~item_bytes:256 ~target_chain:10
-      in
-      let n = Workloads.Uthash.n_items t in
-      (* Uthash emits no progress events of its own; the request is the
-         natural progress unit (cf. bench/exp_fig7.ml). *)
-      fun i ->
-        ignore (Workloads.Uthash.find t ~key:(i * 7919 mod n));
-        vm.Workloads.Vm.progress ()
-    | "kvstore" ->
-      let n_entries = heap_pages * 3 in
-      let kv =
-        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-      in
-      let dist = Metrics.Dist.uniform ~n:n_entries in
-      fun _ ->
-        ignore (Workloads.Kvstore.get kv ~key:(Metrics.Dist.sample dist rng))
-    | other ->
-      invalid_arg (Printf.sprintf "Perf.run_cell: unknown workload %S" other)
+  Option.iter (fun k -> Policy.prepare slot (spec k)) policy;
+  let built =
+    build (Policy.vm slot) ~alloc:(Autarky.Allocator.alloc heap) ~rng
+      ~heap_pages
   in
-  !finish ();
+  if policy <> None then Policy.install slot;
+  (sys, built)
+
+let workloads = [ "ycsb"; "uthash"; "kvstore" ]
+let policies = Policy.[ Rate_limit; Clusters; Oram ]
+let mech_name = function `Sgx1 -> "sgx1" | `Sgx2 -> "sgx2"
+
+let mech_of_name = function
+  | "sgx1" -> Some `Sgx1
+  | "sgx2" -> Some `Sgx2
+  | _ -> None
+
+let workload name vm ~alloc ~rng ~heap_pages =
+  match name with
+  | "ycsb" ->
+    let n_entries = heap_pages * 3 in
+    let kv =
+      Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
+    in
+    let dist = Metrics.Dist.scrambled_zipfian ~n:n_entries () in
+    let gen = Workloads.Ycsb.workload_c ~dist ~rng in
+    fun _ ->
+      (match Workloads.Ycsb.next gen with
+      | Workloads.Ycsb.Get k -> ignore (Workloads.Kvstore.get kv ~key:k)
+      | _ -> ())
+  | "uthash" ->
+    let t =
+      Workloads.Uthash.create ~vm ~alloc ~rng ~n_items:(heap_pages * 12)
+        ~item_bytes:256 ~target_chain:10
+    in
+    let n = Workloads.Uthash.n_items t in
+    (* Uthash emits no progress events of its own; the request is the
+       natural progress unit (cf. bench/exp_fig7.ml). *)
+    fun i ->
+      ignore (Workloads.Uthash.find t ~key:(i * 7919 mod n));
+      vm.Workloads.Vm.progress ()
+  | "kvstore" ->
+    let n_entries = heap_pages * 3 in
+    let kv =
+      Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
+    in
+    let dist = Metrics.Dist.uniform ~n:n_entries in
+    fun _ ->
+      ignore (Workloads.Kvstore.get kv ~key:(Metrics.Dist.sample dist rng))
+  | other ->
+    invalid_arg (Printf.sprintf "Perf.workload: unknown workload %S" other)
+
+(* One matrix cell = one fresh platform: a self-paging enclave under the
+   given policy and paging mechanism, driven by a fixed-seed workload. *)
+let run_cell ~workload:name ~policy ~mech ~seed ~ops =
+  let sys, op = cell ~mech ~policy:(Some policy) ~seed (workload name) in
   let acc0 = Sgx.Cpu.accesses (System.cpu sys) in
   let a0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
@@ -262,9 +230,9 @@ let run_cell ~workload ~policy ~mech ~seed ~ops =
   let accesses = Sgx.Cpu.accesses (System.cpu sys) - acc0 in
   let n = float_of_int (max 1 accesses) in
   {
-    mx_workload = workload;
-    mx_policy = policy;
-    mx_mech = (match mech with `Sgx1 -> "sgx1" | `Sgx2 -> "sgx2");
+    mx_workload = name;
+    mx_policy = Policy.name policy;
+    mx_mech = mech_name mech;
     mx_ops = ops;
     mx_accesses = accesses;
     mx_wall_ns = wall_ns /. n;
@@ -279,8 +247,7 @@ let run_cell ~workload ~policy ~mech ~seed ~ops =
    merged back in cell order — modeled cycles, faults and allocation
    are bit-identical at any [jobs]; only the wall fields move. *)
 let matrix_cells ~quick =
-  let workloads = if quick then [ "ycsb" ] else [ "ycsb"; "uthash"; "kvstore" ] in
-  let policies = [ "rate-limit"; "clusters"; "oram" ] in
+  let workloads = if quick then [ "ycsb" ] else workloads in
   let mechs = [ `Sgx1; `Sgx2 ] in
   List.concat_map
     (fun workload ->
@@ -438,20 +405,6 @@ let gate_cells_of_json ~ctx j =
            g_alloc = num ~ctx (field "alloc_bytes_per_access");
          })
 
-let gate_cells_of_rows rows =
-  List.map
-    (fun m ->
-      {
-        g_key = (m.mx_workload, m.mx_policy, m.mx_mech);
-        g_ops = m.mx_ops;
-        g_accesses = m.mx_accesses;
-        g_cycles = m.mx_cycles;
-        g_faults = m.mx_faults;
-        g_wall_ns = m.mx_wall_ns;
-        g_alloc = m.mx_alloc;
-      })
-    rows
-
 let key_name (w, p, m) = Printf.sprintf "%s/%s/%s" w p m
 
 (* Relative drift, symmetric-safe for zero baselines. *)
@@ -483,7 +436,20 @@ let check ~baseline ?against ?(tolerance = 0.25) ?wall_ceiling_ns ?alloc_ceiling
       Printf.printf "perf: re-running the %s matrix (seed %d) against %s\n%!"
         (if quick then "quick" else "full")
         seed baseline;
-      (gate_cells_of_rows (matrix_section ~quick ~seed ~jobs), "this run")
+      let r =
+        {
+          r_quick = quick;
+          r_seed = seed;
+          r_jobs = jobs;
+          r_matrix_wall_s = 0.0;
+          r_micro = [];
+          r_matrix = matrix_section ~quick ~seed ~jobs;
+        }
+      in
+      (* Through the same writer and reader as the baseline, so both
+         sides carry the JSON's rounding. *)
+      let ctx = "this run" in
+      (gate_cells_of_json ~ctx (Microjson.of_string (to_json r)), ctx)
   in
   let assoc cells = List.map (fun c -> (c.g_key, c)) cells in
   let base_a = assoc base and cur_a = assoc cur in

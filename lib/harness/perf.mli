@@ -11,6 +11,48 @@
     ["accesses"]); the retired /1 schema divided by ops under the same
     field names. *)
 
+(** {1 The cell builder}
+
+    One heap cell: a self-paging enclave (or, with [policy = None], a
+    plain one) whose heap policy goes through {!Policy}.  The perf
+    matrix, the long-run snapshot worlds and the CLI's [run]/[trace]
+    all build their platform here. *)
+
+val cell :
+  ?trace:bool -> ?on_system:(System.t -> unit) -> ?mech:Autarky.Pager.mech ->
+  ?epc_limit:int -> ?cluster_pages:int -> policy:Policy.kind option ->
+  seed:int ->
+  (Workloads.Vm.t -> alloc:(bytes:int -> Sgx.Types.vaddr) ->
+   rng:Metrics.Rng.t -> heap_pages:int -> 'a) ->
+  System.t * 'a
+(** Build a platform of [epc_limit] (default 1,024 = 4 MiB) EPC
+    frames plus 1,024 spare, an enclave of 8x and a heap of 4x that in
+    [cluster_pages]-page clusters (default 10), budget [epc_limit - 256]
+    (at least 64).  [on_system] runs right after the platform exists —
+    before any policy or workload — so trace sinks see the whole stream.
+    The policy is prepared (ORAM cache of 2/3 of the EPC, at least 64
+    pages, tree seed 9), the workload built by the callback (with an
+    RNG seeded from [seed]), then the policy installed.  [trace]
+    (default false) and [mech] (default [`Sgx1]) go to
+    {!System.create}. *)
+
+val workloads : string list
+(** The matrix workloads: ["ycsb"; "uthash"; "kvstore"]. *)
+
+val policies : Policy.kind list
+(** The matrix policies: rate limiting, clusters, ORAM. *)
+
+val workload :
+  string -> Workloads.Vm.t -> alloc:(bytes:int -> Sgx.Types.vaddr) ->
+  rng:Metrics.Rng.t -> heap_pages:int -> int -> unit
+(** The {!cell} callback of a matrix workload; the result performs
+    operation [i].  @raise Invalid_argument on an unknown name. *)
+
+val mech_of_name : string -> Autarky.Pager.mech option
+(** ["sgx1"] / ["sgx2"]. *)
+
+(** {1 The report} *)
+
 type micro_row = {
   mi_name : string;
   mi_iters : int;

@@ -167,10 +167,12 @@ let chunks n lst =
   in
   go [] [] 0 lst
 
-let pin t pages =
+let manage t pages =
   let rt = runtime_exn t in
-  Autarky.Runtime.mark_enclave_managed rt pages;
-  let pager = Autarky.Runtime.pager rt in
+  Autarky.Runtime.mark_enclave_managed rt pages
+
+let refetch t pages =
+  let pager = Autarky.Runtime.pager (runtime_exn t) in
   let need = List.filter (fun p -> not (Autarky.Pager.resident pager p)) pages in
   List.iter
     (fun chunk ->
@@ -179,9 +181,9 @@ let pin t pages =
       Autarky.Pager.fetch pager chunk)
     (chunks 64 need)
 
-let manage t pages =
-  let rt = runtime_exn t in
-  Autarky.Runtime.mark_enclave_managed rt pages
+let pin t pages =
+  manage t pages;
+  refetch t pages
 
 let run_in_enclave t f =
   Sgx.Instructions.eenter_run t.sys_machine (enclave t) f

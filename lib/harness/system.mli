@@ -7,12 +7,14 @@
       let sys = System.create ~epc_frames ~epc_limit ~enclave_pages
                   ~self_paging:true ~budget () in
       let heap = System.allocator sys ~pages ~cluster_pages:10 in
-      (* build the workload via [System.vm sys ()] and [heap] ... *)
-      System.pin sys code_pages;          (* pinned enclave-managed *)
-      System.manage sys data_pages;       (* demand-paged enclave-managed *)
-      Runtime.set_policy (System.runtime_exn sys) policy;
+      let slot = Policy.create sys ~heap in
+      Policy.prepare slot (Policy.Rate_limit { max_faults_per_unit = 512 });
+      (* build the workload via [Policy.vm slot] and [heap] ... *)
+      Policy.install slot;                (* set_policy + manage the heap *)
       Measure.run sys (fun () -> ...)
-    ]} *)
+    ]}
+    {!Policy} is the one install path for a heap policy; {!pin} and
+    {!manage} remain for regions outside the heap (code, stacks). *)
 
 type t
 
@@ -102,6 +104,10 @@ val pin : t -> Sgx.Types.vpage list -> unit
 
 val manage : t -> Sgx.Types.vpage list -> unit
 (** Mark pages enclave-managed without prefetching (demand-paged data). *)
+
+val refetch : t -> Sgx.Types.vpage list -> unit
+(** Fetch the non-resident ones among already enclave-managed [pages]
+    back in, making room first — re-pinning after an eviction. *)
 
 val run_in_enclave : t -> (unit -> 'a) -> 'a
 (** EENTER, run, EEXIT — one enclave entry around a workload phase. *)

@@ -51,7 +51,7 @@ let tenant_report ~virtual_seconds tn =
   {
     tr_name = cfg.Tenant.name;
     tr_workload = Tenant.workload_name cfg.Tenant.workload;
-    tr_policy = Tenant.policy_name cfg.Tenant.policy;
+    tr_policy = Harness.Policy.name cfg.Tenant.policy;
     tr_generator = Tenant.generator_name cfg.Tenant.generator;
     tr_arrivals = Tenant.arrivals tn;
     tr_served = Tenant.served tn;

@@ -14,36 +14,22 @@
    controller may call [set_policy] at a request boundary, and a reboot
    comes back up under the escalated policy, not the configured one.
 
-   The workload's memory traffic always flows through an indirect
-   instrument cell ([sl_iref]): [None] is the plain CPU path (demand
-   policies), [Some f] routes the protected region through the ORAM
-   cache.  The indirection costs nothing in the model (no charge, no
-   trace), which is what makes switching a live tenant onto ORAM — and
-   back off it — possible without rebooting. *)
+   The policy lives in a {!Harness.Policy} slot: the workload is built
+   over the slot's VM, which routes memory traffic and progress events
+   through whichever policy is installed, so a live tenant can switch
+   onto ORAM — and back off it — without rebooting. *)
 
 module System = Harness.System
+module Policy = Harness.Policy
 module Vmm = Hypervisor.Vmm
 
 type workload_kind = Kvstore | Spellcheck | Uthash
-type policy_kind = Rate_limit | Clusters | Oram | Preload
+type policy_kind = Policy.kind = Rate_limit | Clusters | Oram | Preload
 
 let workload_name = function
   | Kvstore -> "kvstore"
   | Spellcheck -> "spellcheck"
   | Uthash -> "uthash"
-
-let policy_name = function
-  | Rate_limit -> "rate-limit"
-  | Clusters -> "clusters"
-  | Oram -> "oram"
-  | Preload -> "preload"
-
-let policy_of_name = function
-  | "rate-limit" -> Some Rate_limit
-  | "clusters" -> Some Clusters
-  | "oram" -> Some Oram
-  | "preload" -> Some Preload
-  | _ -> None
 
 type generator =
   | Open_loop of { load : float }
@@ -76,13 +62,6 @@ type config = {
   depart_after : int option;
 }
 
-type oram_parts = {
-  op_oram : Oram.Path_oram.t;
-  op_cache : Autarky.Oram_cache.t;
-  op_pol : Autarky.Policy_oram.t;
-  op_cache_pages : Sgx.Types.vpage list;
-}
-
 type slice = {
   sl_sys : System.t;
   sl_proc : Sim_os.Kernel.proc;
@@ -90,18 +69,12 @@ type slice = {
   mutable sl_probe : int -> int list;
   sl_heap : Autarky.Allocator.t;
   sl_epc_limit : int;  (* the allowance this incarnation booted with *)
-  sl_iref : (Sgx.Types.vaddr -> Sgx.Types.access_kind -> unit) option ref;
-  sl_progress : (unit -> unit) ref;
-  mutable sl_policy : policy_kind;
-  mutable sl_managed : bool;  (* heap pages marked enclave-managed yet? *)
+  sl_policy : Policy.t;
   (* Pre-allocated request thunk: [request] writes the key into the cell
      and passes the same closure to the enclave entry every time, so the
      served-request path allocates no per-call closure. *)
   sl_req_key : int ref;
   mutable sl_req_thunk : unit -> unit;
-  (* ORAM machinery survives a de-escalation so a later re-escalation
-     reuses the same (deterministically seeded) tree and cache. *)
-  mutable sl_oram : oram_parts option;
 }
 
 type state = Parked | Active | Refused | Departed
@@ -153,202 +126,15 @@ let slice_exn t =
   | Some s -> s
   | None -> invalid_arg "Serve.Tenant: tenant has no live enclave"
 
-let ensure_managed sl =
-  if not sl.sl_managed then begin
-    System.manage sl.sl_sys (Autarky.Allocator.allocated_pages sl.sl_heap);
-    sl.sl_managed <- true
-  end
-
-(* Build the PathORAM tree, the pinned cache and the policy object.  The
-   tree seed derives from the build seed alone, so an escalation after a
-   reboot replays the identical structure. *)
-let build_oram t sl =
-  let sys = sl.sl_sys in
-  let cfg = t.cfg in
-  let cache_pages = max 32 (sl.sl_epc_limit / 2) in
-  let cache_base = System.reserve sys ~pages:cache_pages in
-  let oram =
-    Oram.Path_oram.create ~clock:(System.clock sys)
-      ~rng:(Metrics.Rng.create ~seed:(Int64.add t.build_seed 9L))
-      ~n_blocks:cfg.heap_pages ()
-  in
-  let cache =
-    Autarky.Oram_cache.create ~machine:t.machine ~enclave:(System.enclave sys)
-      ~touch:(fun a k -> Sgx.Cpu.access (System.cpu sys) a k)
-      ~oram
-      ~data_base_vpage:(Autarky.Allocator.base_vpage sl.sl_heap)
-      ~n_pages:cfg.heap_pages ~cache_base_vpage:cache_base
-      ~capacity_pages:cache_pages ()
-  in
-  System.pin sys (List.init cache_pages (fun i -> cache_base + i));
-  let pol =
-    Autarky.Policy_oram.create ~runtime:(System.runtime_exn sys) ~cache
-  in
-  {
-    op_oram = oram;
-    op_cache = cache;
-    op_pol = pol;
-    op_cache_pages = List.init cache_pages (fun i -> cache_base + i);
-  }
-
-let oram_accessor sys pol =
-  Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-      Sgx.Cpu.access (System.cpu sys) a k)
-
-(* Bring previously evicted (still enclave-managed) cache pages back
-   resident — the re-escalation counterpart of {!System.pin}. *)
-let refetch_pinned sys pages =
-  let pager = Autarky.Runtime.pager (System.runtime_exn sys) in
-  let need =
-    List.filter (fun p -> not (Autarky.Pager.resident pager p)) pages
-  in
-  let rec chunks n = function
-    | [] -> []
-    | l ->
-      let rec take k acc = function
-        | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-        | rest -> (List.rev acc, rest)
-      in
-      let c, rest = take n [] l in
-      c :: chunks n rest
-  in
-  List.iter
-    (fun chunk ->
-      Autarky.Pager.make_room pager ~incoming:(List.length chunk)
-        ~victims:(fun () -> Autarky.Pager.oldest_residents pager 16);
-      Autarky.Pager.fetch pager chunk)
-    (chunks 64 need)
-
-(* Per-policy setup that must run *before* the workload is built (the
-   rate limiter counts the build's progress events; the ORAM cache must
-   intercept nothing during the build but its machinery is created
-   up-front, exactly as the fixed-policy boot did).  Returns the finish
-   step that runs after the workload exists. *)
-let pre_install t sl kind =
-  let sys = sl.sl_sys in
-  let rt = System.runtime_exn sys in
-  match kind with
-  | Rate_limit ->
-    let rl =
-      Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 ()
-    in
-    sl.sl_progress := (fun () -> Autarky.Policy_rate_limit.progress rl);
-    fun () ->
-      Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-      ensure_managed sl
-  | Clusters ->
-    fun () ->
-      let pc =
-        Autarky.Policy_clusters.create ~runtime:rt
-          ~clusters:(Autarky.Allocator.clusters sl.sl_heap)
-      in
-      Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-      ensure_managed sl
-  | Preload ->
-    fun () ->
-      let pp =
-        Autarky.Policy_preload.create ~runtime:rt
-          ~pages:(Autarky.Allocator.allocated_pages sl.sl_heap) ()
-      in
-      Autarky.Runtime.set_policy rt (Autarky.Policy_preload.policy pp);
-      ensure_managed sl;
-      Autarky.Policy_preload.preload pp
-  | Oram ->
-    let parts = build_oram t sl in
-    sl.sl_oram <- Some parts;
-    sl.sl_iref := Some (oram_accessor sys parts.op_pol);
-    fun () ->
-      Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy parts.op_pol)
-
-(* Live policy switch on an already-serving slice.  The caller
-   ([set_policy]) guarantees we are at a request boundary. *)
-let switch_policy t sl ~from_ ~to_ =
-  let sys = sl.sl_sys in
-  let rt = System.runtime_exn sys in
-  let pager = Autarky.Runtime.pager rt in
-  let install kind =
-    match kind with
-    | Rate_limit ->
-      let rl =
-        Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 ()
-      in
-      sl.sl_progress := (fun () -> Autarky.Policy_rate_limit.progress rl);
-      Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-      ensure_managed sl
-    | Clusters ->
-      let pc =
-        Autarky.Policy_clusters.create ~runtime:rt
-          ~clusters:(Autarky.Allocator.clusters sl.sl_heap)
-      in
-      Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-      ensure_managed sl
-    | Preload ->
-      (* May raise Invalid_argument when the set does not fit the
-         budget — the caller rolls back to [from_]. *)
-      let pp =
-        Autarky.Policy_preload.create ~runtime:rt
-          ~pages:(Autarky.Allocator.allocated_pages sl.sl_heap) ()
-      in
-      Autarky.Runtime.set_policy rt (Autarky.Policy_preload.policy pp);
-      ensure_managed sl;
-      Autarky.Policy_preload.preload pp
-    | Oram ->
-      (* Sealed state handoff: every resident heap page leaves the EPC
-         through the pager's seal-and-evict path, then the working set
-         is charged into the oblivious store, block by block.  The
-         previous policy may have ballooned the pager budget down toward
-         its floor; the escalation rebuilds the memory plan, so restore
-         the boot budget first — pinning the cache into a 16-page budget
-         would evict the cache's own pages.  Later pressure reaches the
-         ORAM policy's own balloon handler, which shrinks the cache. *)
-      let boot_budget = max 1 (sl.sl_epc_limit - 64) in
-      if Autarky.Pager.budget pager < boot_budget then
-        Autarky.Pager.set_budget pager boot_budget;
-      let resident_heap =
-        List.filter
-          (Autarky.Pager.resident pager)
-          (Autarky.Allocator.allocated_pages sl.sl_heap)
-      in
-      Autarky.Pager.evict pager resident_heap;
-      let parts =
-        match sl.sl_oram with
-        | Some p ->
-          refetch_pinned sys p.op_cache_pages;
-          p
-        | None ->
-          let p = build_oram t sl in
-          sl.sl_oram <- Some p;
-          p
-      in
-      let base = Autarky.Allocator.base_vpage sl.sl_heap in
-      List.iter
-        (fun vp ->
-          Oram.Path_oram.access parts.op_oram ~block:(vp - base) (fun _ -> ()))
-        resident_heap;
-      sl.sl_iref := Some (oram_accessor sys parts.op_pol);
-      Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy parts.op_pol)
-  in
-  (* Tear the old policy down to a neutral demand-paged state. *)
-  (match from_ with
-  | Oram -> (
-    match sl.sl_oram with
-    | Some p ->
-      ignore (Autarky.Oram_cache.flush p.op_cache);
-      sl.sl_iref := None;
-      Autarky.Pager.evict pager
-        (List.filter (Autarky.Pager.resident pager) p.op_cache_pages)
-    | None -> ())
-  | Rate_limit -> sl.sl_progress := (fun () -> ())
-  | Clusters | Preload -> ());
-  match install to_ with
-  | () -> ()
-  | exception Invalid_argument msg ->
-    (* A refused escalation (preload set over budget) must leave the
-       tenant under a working policy: reinstall the previous one.  The
-       rollback path cannot itself raise Invalid_argument — RL/Clusters
-       never do, and an Oram rollback reuses the surviving parts. *)
-    install from_;
-    raise (Invalid_argument msg)
+(* The tenant's spec for [kind].  The ORAM cache is sized from the
+   allowance this incarnation booted with, and the tree seed derives
+   from the build seed alone, so an escalation after a reboot replays
+   the identical structure. *)
+let policy_spec t ~epc_limit kind =
+  Policy.spec
+    ~oram_cache_pages:(max 32 (epc_limit / 2))
+    ~oram_tree_seed:(Int64.to_int t.build_seed + 9)
+    kind
 
 (* Build one incarnation: guest process, platform slice, policy, workload. *)
 let build_slice t =
@@ -385,26 +171,14 @@ let build_slice t =
       sl_probe = (fun _ -> []);
       sl_heap = heap;
       sl_epc_limit = epc_limit;
-      sl_iref = ref None;
-      sl_progress = ref (fun () -> ());
-      sl_policy = t.active_policy;
-      sl_managed = false;
+      sl_policy = Policy.create sys ~heap;
       sl_req_key = ref 0;
       sl_req_thunk = (fun () -> ());
-      sl_oram = None;
     }
   in
   sl.sl_req_thunk <- (fun () -> sl.sl_op !(sl.sl_req_key));
-  let finish = pre_install t sl t.active_policy in
-  let vm =
-    System.vm sys
-      ~instrument:(fun a k ->
-        match !(sl.sl_iref) with
-        | Some f -> f a k
-        | None -> Sgx.Cpu.access (System.cpu sys) a k)
-      ~on_progress:(fun () -> !(sl.sl_progress) ())
-      ()
-  in
+  Policy.prepare sl.sl_policy (policy_spec t ~epc_limit t.active_policy);
+  let vm = Policy.vm sl.sl_policy in
   let op, probe =
     match cfg.workload with
     | Kvstore ->
@@ -434,7 +208,7 @@ let build_slice t =
   in
   sl.sl_op <- op;
   sl.sl_probe <- probe;
-  finish ();
+  Policy.install sl.sl_policy;
   sl
 
 let create ?(sketch = false) ~machine ~hv ~vm ~seed_base cfg =
@@ -540,9 +314,9 @@ let set_policy t kind =
          "Serve.Tenant.set_policy %s: cannot switch policies mid-request"
          t.cfg.name);
   let sl = slice_exn t in
-  if sl.sl_policy <> kind then begin
-    switch_policy t sl ~from_:sl.sl_policy ~to_:kind;
-    sl.sl_policy <- kind;
+  if t.active_policy <> kind then begin
+    Policy.switch sl.sl_policy
+      (policy_spec t ~epc_limit:sl.sl_epc_limit kind);
     t.active_policy <- kind;
     t.policy_switches <- t.policy_switches + 1
   end

@@ -9,14 +9,11 @@
     restart of the same enclave image. *)
 
 type workload_kind = Kvstore | Spellcheck | Uthash
-type policy_kind = Rate_limit | Clusters | Oram | Preload
+
+type policy_kind = Harness.Policy.kind = Rate_limit | Clusters | Oram | Preload
+(** Named by {!Harness.Policy.name}. *)
 
 val workload_name : workload_kind -> string
-val policy_name : policy_kind -> string
-
-val policy_of_name : string -> policy_kind option
-(** Inverse of {!policy_name} ("rate-limit", "clusters", "oram",
-    "preload"). *)
 
 (** How requests arrive.  [Open_loop] issues Poisson arrivals at
     [load] times the tenant's calibrated service rate (load > 1 is an

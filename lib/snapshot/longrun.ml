@@ -1,11 +1,11 @@
-(* Resumable long-horizon workload runner: the perf-matrix cell shape
-   (workload x policy x mechanism, fixed geometry), rebuilt as a
+(* Resumable long-horizon workload runner: a perf-matrix cell
+   ([Harness.Perf.cell], workload x policy x mechanism) driven as a
    stepped world so a horizon can be cut into time slices — run to
    operation N, seal, resume (same or different process), continue —
    with the determinism contract checked by trace digest + counter
    fingerprint equality against the straight-through run.
 
-   Differences from [Harness.Perf.run_cell], all deliberate:
+   Differences from the perf matrix's measured run, all deliberate:
    - tracing is on, with a digest sink attached at build time, so
      every run yields a comparable digest;
    - each operation is its own enclave entry (the quiescent point);
@@ -27,9 +27,24 @@ let spec_label s =
   Printf.sprintf "longrun/%s/%s/%s/seed%d/ops%d" s.sp_workload s.sp_policy
     s.sp_mech s.sp_seed s.sp_ops
 
+let parse_cell (w, p, m) =
+  let bad what v valid =
+    Error
+      (Printf.sprintf "unknown %s %S (want one of %s)" what v
+         (String.concat ", " valid))
+  in
+  match (Harness.Policy.of_name p, Harness.Perf.mech_of_name m) with
+  | _ when not (List.mem w Harness.Perf.workloads) ->
+    bad "workload" w Harness.Perf.workloads
+  | Some policy, Some mech when List.mem policy Harness.Perf.policies ->
+    Ok (policy, mech)
+  | Some _, Some _ | None, _ ->
+    bad "policy" p (List.map Harness.Policy.name Harness.Perf.policies)
+  | _, None -> bad "mech" m [ "sgx1"; "sgx2" ]
+
 let cell_of_string str =
   match String.split_on_char ':' str with
-  | [ w; p; m ] -> Ok (w, p, m)
+  | [ w; p; m ] -> Result.map (fun _ -> (w, p, m)) (parse_cell (w, p, m))
   | _ -> Error (Printf.sprintf "bad cell %S (want workload:policy:mech)" str)
 
 type world = {
@@ -42,123 +57,28 @@ type world = {
 
 let kind = "longrun"
 
-(* The perf-cell geometry: 4 MiB EPC against a 16 MiB heap. *)
-let epc_limit = 1_024
-
 let build spec =
-  let mech =
-    match spec.sp_mech with
-    | "sgx1" -> `Sgx1
-    | "sgx2" -> `Sgx2
-    | other -> invalid_arg (Printf.sprintf "Longrun.build: unknown mech %S" other)
+  let policy, mech =
+    match parse_cell (spec.sp_workload, spec.sp_policy, spec.sp_mech) with
+    | Ok pm -> pm
+    | Error msg -> invalid_arg ("Longrun.build: " ^ msg)
   in
-  let enclave_pages = 8 * epc_limit in
-  let rng = Metrics.Rng.create ~seed:(Int64.of_int spec.sp_seed) in
-  let sys =
-    System.create ~mech ~trace:true ~epc_frames:(epc_limit + 1_024) ~epc_limit
-      ~enclave_pages ~self_paging:true
-      ~budget:(max 64 (epc_limit - 256))
-      ()
+  let digest = ref (fun () -> "") in
+  let on_system sys =
+    let sink, result = Trace.Sink.digest () in
+    Trace.Recorder.add_sink (System.tracer_exn sys) sink;
+    digest := result
   in
-  let dsink, dres = Trace.Sink.digest () in
-  Trace.Recorder.add_sink (System.tracer_exn sys) dsink;
-  let heap_pages = 4 * epc_limit in
-  let heap = System.allocator sys ~pages:heap_pages ~cluster_pages:10 in
-  let alloc ~bytes = Autarky.Allocator.alloc heap ~bytes in
-  let rt = System.runtime_exn sys in
-  let progress_hook = ref (fun () -> ()) in
-  let instrument = ref None in
-  let finish = ref (fun () -> ()) in
-  (match spec.sp_policy with
-  | "rate-limit" ->
-    let rl =
-      Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 ()
-    in
-    progress_hook := (fun () -> Autarky.Policy_rate_limit.progress rl);
-    finish :=
-      fun () ->
-        Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-        System.manage sys (Autarky.Allocator.allocated_pages heap)
-  | "clusters" ->
-    finish :=
-      fun () ->
-        let pc =
-          Autarky.Policy_clusters.create ~runtime:rt
-            ~clusters:(Autarky.Allocator.clusters heap)
-        in
-        Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-        System.manage sys (Autarky.Allocator.allocated_pages heap)
-  | "oram" ->
-    let cache_pages = max 64 (epc_limit * 2 / 3) in
-    let cache_base = System.reserve sys ~pages:cache_pages in
-    let oram =
-      Oram.Path_oram.create ~clock:(System.clock sys)
-        ~rng:(Metrics.Rng.create ~seed:9L) ~n_blocks:heap_pages ()
-    in
-    let cache =
-      Autarky.Oram_cache.create ~machine:(System.machine sys)
-        ~enclave:(System.enclave sys)
-        ~touch:(fun a k -> Sgx.Cpu.access (System.cpu sys) a k)
-        ~oram
-        ~data_base_vpage:(Autarky.Allocator.base_vpage heap)
-        ~n_pages:heap_pages ~cache_base_vpage:cache_base
-        ~capacity_pages:cache_pages ()
-    in
-    System.pin sys (List.init cache_pages (fun i -> cache_base + i));
-    let pol = Autarky.Policy_oram.create ~runtime:rt ~cache in
-    instrument :=
-      Some
-        (Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-             Sgx.Cpu.access (System.cpu sys) a k));
-    finish :=
-      fun () -> Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy pol)
-  | other ->
-    invalid_arg (Printf.sprintf "Longrun.build: unknown policy %S" other));
-  let vm =
-    match !instrument with
-    | Some i ->
-      System.vm sys ~instrument:i ~on_progress:(fun () -> !progress_hook ()) ()
-    | None -> System.vm sys ~on_progress:(fun () -> !progress_hook ()) ()
+  let sys, op =
+    Harness.Perf.cell ~trace:true ~on_system ~mech ~policy:(Some policy)
+      ~seed:spec.sp_seed
+      (Harness.Perf.workload spec.sp_workload)
   in
-  let op =
-    match spec.sp_workload with
-    | "ycsb" ->
-      let n_entries = heap_pages * 3 in
-      let kv =
-        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-      in
-      let dist = Metrics.Dist.scrambled_zipfian ~n:n_entries () in
-      let gen = Workloads.Ycsb.workload_c ~dist ~rng in
-      fun _ ->
-        (match Workloads.Ycsb.next gen with
-        | Workloads.Ycsb.Get k -> ignore (Workloads.Kvstore.get kv ~key:k)
-        | _ -> ())
-    | "uthash" ->
-      let t =
-        Workloads.Uthash.create ~vm ~alloc ~rng ~n_items:(heap_pages * 12)
-          ~item_bytes:256 ~target_chain:10
-      in
-      let n = Workloads.Uthash.n_items t in
-      fun i ->
-        ignore (Workloads.Uthash.find t ~key:(i * 7919 mod n));
-        vm.Workloads.Vm.progress ()
-    | "kvstore" ->
-      let n_entries = heap_pages * 3 in
-      let kv =
-        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-      in
-      let dist = Metrics.Dist.uniform ~n:n_entries in
-      fun _ ->
-        ignore (Workloads.Kvstore.get kv ~key:(Metrics.Dist.sample dist rng))
-    | other ->
-      invalid_arg (Printf.sprintf "Longrun.build: unknown workload %S" other)
-  in
-  !finish ();
   {
     w_spec = spec;
     w_sys = sys;
     w_op = (fun i -> System.run_in_enclave sys (fun () -> op i));
-    w_digest = dres;
+    w_digest = !digest;
     w_done = 0;
   }
 

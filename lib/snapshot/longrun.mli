@@ -1,7 +1,7 @@
 (** Resumable long-horizon workload runner.
 
-    The perf-matrix cell shape (workload x policy x mechanism) rebuilt
-    as a stepped world: tracing always on with a digest sink, one
+    A perf-matrix cell ({!Harness.Perf.cell}, workload x policy x
+    mechanism) driven as a stepped world: tracing always on with a digest sink, one
     enclave entry per operation (the quiescent point), no clock reset.
     A horizon can be cut into time slices — run to N, seal with
     {!World.save}, resume in another process, continue — and the
@@ -20,7 +20,8 @@ val spec_label : spec -> string
 (** The lineage label keying the freshness counter. *)
 
 val cell_of_string : string -> (string * string * string, string) result
-(** Parse a ["workload:policy:mech"] cell spec. *)
+(** Parse a ["workload:policy:mech"] cell spec; [Error] names an
+    unknown workload, policy or mechanism. *)
 
 type world
 

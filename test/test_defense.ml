@@ -42,57 +42,96 @@ let serve_some tn n =
     Serve.Tenant.request tn ~key:(Serve.Tenant.next_key tn)
   done
 
+(* An Eulerian circuit of the complete directed graph on the four
+   kinds (indices into [Harness.Policy.all]): walking it from any kind
+   takes every ordered switch a -> b (a <> b) exactly once. *)
+let every_switch = [| 0; 1; 0; 2; 0; 3; 1; 2; 1; 3; 2; 3 |]
+
 let test_set_policy_preserves_working_set () =
-  let tn = mk_tenant () in
-  let sys = Serve.Tenant.sys tn in
-  let machine = Harness.System.machine sys in
-  let enclave = Harness.System.enclave sys in
-  serve_some tn 6;
-  (* Snapshot the ground-truth pages of one key while they are
-     resident: their bytes must survive the full ladder round trip. *)
-  let key = 3 in
-  Serve.Tenant.request tn ~key;
-  let pages = Serve.Tenant.probe_pages tn ~key in
-  checkb "uthash offers a page oracle" true (pages <> []);
-  let snapshot =
-    List.filter_map
-      (fun vpage ->
-        Option.map
-          (fun d -> (vpage, Sgx.Page_data.to_bytes d))
-          (Sgx.Instructions.page_data machine enclave ~vpage))
-      pages
-  in
-  checkb "some probe pages resident after serving" true (snapshot <> []);
-  let expect_switch kind =
-    let before = Serve.Tenant.policy_switches tn in
-    Serve.Tenant.set_policy tn kind;
-    checkb "policy updated" true (Serve.Tenant.active_policy tn = kind);
-    checki "switch counted" (before + 1) (Serve.Tenant.policy_switches tn);
-    serve_some tn 3
-  in
-  (* Walk every rung of the Heisenberg ladder live, serving through each
-     switch, then come back down to the boot policy. *)
-  expect_switch Serve.Tenant.Clusters;
-  expect_switch Serve.Tenant.Preload;
-  expect_switch Serve.Tenant.Oram;
-  checkb "heap lives in the oblivious store under ORAM" true
-    (Serve.Tenant.resident_heap_pages tn = []);
-  expect_switch Serve.Tenant.Rate_limit;
-  (* Refault the key's pages and compare bytes with the snapshot: the
-     sealed handoff through ORAM and back must not lose or corrupt the
-     working set. *)
-  Serve.Tenant.request tn ~key;
-  List.iter
-    (fun (vpage, before) ->
-      match Sgx.Instructions.page_data machine enclave ~vpage with
-      | None -> Alcotest.failf "page 0x%x not resident after refault" vpage
-      | Some d ->
-        checkb
-          (Printf.sprintf "page 0x%x bytes preserved" vpage)
-          true
-          (Bytes.equal before (Sgx.Page_data.to_bytes d)))
-    snapshot;
-  checki "four committed switches" 4 (Serve.Tenant.policy_switches tn)
+  let kinds = Array.of_list Harness.Policy.all in
+  Array.iteri
+    (fun boot_i boot ->
+      let tn = mk_tenant ~policy:boot () in
+      let sys = Serve.Tenant.sys tn in
+      let machine = Harness.System.machine sys in
+      let enclave = Harness.System.enclave sys in
+      let name = Harness.Policy.name in
+      serve_some tn 6;
+      (* The ground-truth bytes of one key's pages, snapshotted the first
+         time a demand policy holds them resident: they must survive
+         every switch, including the sealed handoffs through ORAM. *)
+      let key = 3 in
+      let snapshot = ref [] in
+      let check_pages what =
+        if Serve.Tenant.active_policy tn = Serve.Tenant.Oram then
+          checkb (what ^ ": heap lives in the oblivious store") true
+            (Serve.Tenant.resident_heap_pages tn = [])
+        else begin
+          Serve.Tenant.request tn ~key;
+          let pages = Serve.Tenant.probe_pages tn ~key in
+          checkb "uthash offers a page oracle" true (pages <> []);
+          match !snapshot with
+          | [] ->
+            snapshot :=
+              List.filter_map
+                (fun vpage ->
+                  Option.map
+                    (fun d -> (vpage, Sgx.Page_data.to_bytes d))
+                    (Sgx.Instructions.page_data machine enclave ~vpage))
+                pages;
+            checkb (what ^ ": probe pages resident") true (!snapshot <> [])
+          | snap ->
+            List.iter
+              (fun (vpage, before) ->
+                match Sgx.Instructions.page_data machine enclave ~vpage with
+                | None ->
+                  Alcotest.failf "%s: page 0x%x not resident after refault"
+                    what vpage
+                | Some d ->
+                  checkb
+                    (Printf.sprintf "%s: page 0x%x bytes preserved" what vpage)
+                    true
+                    (Bytes.equal before (Sgx.Page_data.to_bytes d)))
+              snap
+        end
+      in
+      check_pages ("boot " ^ name boot);
+      let start =
+        let rec find i = if every_switch.(i) = boot_i then i else find (i + 1) in
+        find 0
+      in
+      let committed = ref 0 in
+      for step = 1 to Array.length every_switch do
+        let target =
+          kinds.(every_switch.((start + step) mod Array.length every_switch))
+        in
+        let from_ = Serve.Tenant.active_policy tn in
+        let what = Printf.sprintf "%s -> %s" (name from_) (name target) in
+        (* After a refusal the walk resumes from the kept policy, so the
+           next rung may already be in place. *)
+        if from_ <> target then begin
+          let before = Serve.Tenant.policy_switches tn in
+          (match Serve.Tenant.set_policy tn target with
+          | () ->
+            incr committed;
+            checkb (what ^ ": policy updated") true
+              (Serve.Tenant.active_policy tn = target);
+            checki (what ^ ": switch counted") (before + 1)
+              (Serve.Tenant.policy_switches tn)
+          | exception Invalid_argument _ when target = Serve.Tenant.Preload ->
+            checkb (what ^ ": refused, previous policy kept") true
+              (Serve.Tenant.active_policy tn = from_);
+            checki (what ^ ": refusal is not a switch") before
+              (Serve.Tenant.policy_switches tn));
+          serve_some tn 3;
+          check_pages what
+        end
+      done;
+      checki
+        ("boot " ^ name boot ^ ": committed switches")
+        !committed
+        (Serve.Tenant.policy_switches tn))
+    kinds
 
 let test_set_policy_mid_request_raises () =
   (* Balloon most of the working set away so the next requests must

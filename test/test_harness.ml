@@ -175,6 +175,15 @@ let test_schema_rejects_wrong_shape () =
     Alcotest.(check bool) "names quick" true
       (List.exists (fun e -> contains ~affix:{|"quick"|} e) es)
 
+(* The gate reads the baseline's %.2f-rounded figures; a fresh run of
+   the same (quick, seed) must match them exactly, not to a tolerance. *)
+let test_perf_check_exact_at_zero_tolerance () =
+  let file = Filename.temp_file "perf_check" ".json" in
+  ignore (Harness.Perf.run ~quick:true ~seed:5 ~out:file ());
+  let ok = Harness.Perf.check ~baseline:file ~tolerance:0. () in
+  Sys.remove file;
+  checkb "re-run equals its own baseline at tolerance 0" true ok
+
 let suite =
   [
     ("reserve carving", `Quick, test_reserve_carving);
@@ -194,4 +203,6 @@ let suite =
     ("schema rejects missing row key", `Quick,
      test_schema_rejects_missing_row_key);
     ("schema rejects wrong shape", `Quick, test_schema_rejects_wrong_shape);
+    ("perf check exact at tolerance 0", `Quick,
+     test_perf_check_exact_at_zero_tolerance);
   ]

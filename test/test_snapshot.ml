@@ -326,6 +326,15 @@ let longrun_spec ops =
     sp_ops = ops;
   }
 
+let test_longrun_cell_of_string () =
+  let ok s = Result.is_ok (Longrun.cell_of_string s) in
+  checkb "matrix cell parses" true (ok "ycsb:oram:sgx2");
+  checkb "unknown policy rejected" false (ok "ycsb:bogus:sgx1");
+  checkb "policy outside the matrix rejected" false (ok "ycsb:preload:sgx1");
+  checkb "unknown mech rejected" false (ok "ycsb:oram:sgx3");
+  checkb "unknown workload rejected" false (ok "nope:oram:sgx1");
+  checkb "wrong arity rejected" false (ok "ycsb:oram")
+
 (* Straight-through vs capture-at-N + sealed restore + continue: the
    full Marshal + seal + probe path, in one process. *)
 let test_longrun_resume_equivalence () =
@@ -484,6 +493,8 @@ let suite =
     ("wrong kind rejected", `Quick, test_image_wrong_kind);
     ("non-image inputs rejected", `Quick, test_image_not_a_snapshot);
     ("counter store persists across handles", `Quick, test_store_persistence);
+    ("longrun: cell_of_string validates names", `Quick,
+     test_longrun_cell_of_string);
     ("longrun: straight == capture/seal/resume", `Quick,
      test_longrun_resume_equivalence);
     ("probe mismatch refuses the image", `Quick, test_longrun_probe_mismatch);
