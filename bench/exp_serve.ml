@@ -4,10 +4,11 @@
    streaming-sketch latency accounting and a pooled-sketch fleet
    roll-up.  Writes BENCH_serve.json (schema autarky-serve/2) in the
    current directory — the committed baseline lives at the repository
-   root and is bit-reproducible from the fixed seed at any --jobs. *)
+   root and is bit-reproducible from the fixed seed.  Same run as
+   `autarky_sim serve --tenants 100`. *)
 
 let run () =
   print_endline "== serve: fleet-scale serving benchmark ==";
   ignore
-    (Serve.Driver.run_fleet_scale ~quick:false ~seed:42 ~tenants:100
-       ~out:"BENCH_serve.json" ())
+    (Serve.Driver.run ~seed:42 ~out:"BENCH_serve.json"
+       ~scenario:(Serve.Driver.Fleet 100) ())

@@ -595,15 +595,16 @@ let perf_cmd =
 
 let serve_cmd =
   let doc =
-    "Run the multi-tenant serving benchmark: three enclave tenants \
-     (kvstore/clusters, spellcheck/ORAM, uthash/rate-limit) served in \
+    "Run the multi-tenant serving benchmark: enclave tenants served in \
      virtual time on one machine, with bounded admission queues, an EPC \
      arbiter rebalancing vEPC between tenant VMs, and a deterministic \
-     autarky-serve/1 SLO report."
+     autarky-serve/2 SLO report.  Without $(b,--tenants), runs three \
+     tenants (kvstore/clusters, spellcheck/ORAM, uthash/rate-limit) \
+     under a trace."
   in
   let quick_arg =
     let doc =
-      "CI smoke mode: quarter-length request streams; no JSON file unless \
+      "CI smoke mode: shorter request streams; no JSON file unless \
        $(b,--out) is given."
     in
     Arg.(value & flag & info [ "quick" ] ~doc)
@@ -620,32 +621,22 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~doc ~docv:"FILE")
   in
-  let fleet_arg =
-    let doc =
-      "Fleet mode: run $(docv) independent members of the default scenario \
-       (member seeds split deterministically from $(b,--seed)) across \
-       $(b,--jobs) domains and merge their SLO reports.  With $(b,--out), \
-       writes autarky-fleet/2 instead of autarky-serve/1."
-    in
-    Arg.(value & opt (some int) None & info [ "fleet" ] ~doc ~docv:"K")
-  in
   let tenants_arg =
     let doc =
       "Fleet-scale mode: pack $(docv) tenants (fixed mix of open-loop, \
        heavy-tailed, diurnal, closed-loop and overloaded classes, with \
-       churn joins and departures) onto one machine with Metrics.Sketch \
-       latency accounting, and write/print the autarky-serve/2 report.  \
-       Byte-identical at any $(b,--jobs)."
+       churn joins and departures) onto one machine, untraced and with \
+       Metrics.Sketch latency accounting."
     in
-    Arg.(value & opt (some int) None & info [ "tenants" ] ~doc ~docv:"N")
-  in
-  let sketch_arg =
-    let doc =
-      "With $(b,--fleet): run every member with streaming-sketch latency \
-       accounting, upgrading the roll-up from worst-of-shards to a \
-       pooled-sketch merge."
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n > 0 -> Ok n
+            | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))),
+          Format.pp_print_int )
     in
-    Arg.(value & flag & info [ "sketch" ] ~doc)
+    Arg.(value & opt (some positive) None & info [ "tenants" ] ~doc ~docv:"N")
   in
   let check_arg =
     let doc =
@@ -661,32 +652,32 @@ let serve_cmd =
     let doc = "Allowed relative drift per metric with $(b,--check)." in
     Arg.(value & opt float 0.25 & info [ "tolerance" ] ~doc ~docv:"T")
   in
-  let run quick no_arbiter out seed fleet tenants sketch check tolerance jobs =
-    match (check, tenants, fleet) with
-    | Some baseline, _, _ ->
-      if not (Serve.Driver.check ~baseline ~tolerance ~jobs ()) then exit 1
-    | None, Some tenants, _ ->
+  let run quick no_arbiter out seed tenants check tolerance =
+    match (check, tenants) with
+    | Some baseline, _ ->
+      if not (Serve.Driver.check ~baseline ~tolerance ()) then exit 1
+    | None, Some n ->
       let out =
         match (out, quick) with
         | Some f, _ -> Some f
         | None, false -> Some "BENCH_serve.json"
         | None, true -> None
       in
-      ignore (Serve.Driver.run_fleet_scale ~quick ~seed ~tenants ~jobs ?out ())
-    | None, None, Some members ->
       ignore
-        (Serve.Driver.fleet ~quick ~seed ~members ~jobs ~no_arbiter ~sketch
-           ?out ())
-    | None, None, None ->
-      (* The committed BENCH_serve.json is the fleet-scale serve/2
-         baseline (--tenants); the legacy 3-tenant run only writes a
-         file when asked, so it cannot clobber the baseline. *)
-      ignore (Serve.Driver.run ~quick ~seed ~no_arbiter ?out ())
+        (Serve.Driver.run ~quick ~seed ~no_arbiter ?out
+           ~scenario:(Serve.Driver.Fleet n) ())
+    | None, None ->
+      (* The committed BENCH_serve.json is the --tenants 100 run; the
+         3-tenant run only writes a file when asked, so it cannot
+         clobber the baseline. *)
+      ignore
+        (Serve.Driver.run ~quick ~seed ~no_arbiter ?out
+           ~scenario:Serve.Driver.Default ())
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ quick_arg $ no_arbiter_arg $ out_arg $ seed_arg $ fleet_arg
-      $ tenants_arg $ sketch_arg $ check_arg $ tolerance_arg $ jobs_arg)
+      const run $ quick_arg $ no_arbiter_arg $ out_arg $ seed_arg $ tenants_arg
+      $ check_arg $ tolerance_arg)
 
 (* --- bench-validate -------------------------------------------------------- *)
 

@@ -1,5 +1,6 @@
-(** Minimal JSON reader for the repo's own report files
-    (["autarky-perf/1"], ["autarky-serve/1"]).
+(** Minimal JSON reader for the repo's own report files (the schemas
+    registered in {!Schema}: ["autarky-perf/2"], ["autarky-serve/2"],
+    ["autarky-redteam/1"], ["autarky-defense/1"]).
 
     The pinned dependency set (autarky.opam) carries no JSON library;
     this covers exactly the grammar our writers emit.  Not a general

@@ -59,9 +59,8 @@ val merge_into : into:t -> t -> unit
 (** Bucket-wise addition: after the call [into] summarises the pooled
     sample stream of both inputs.  Commutative and associative, so a
     fleet roll-up is independent of shard order — pooled-sketch
-    percentiles carry the same [1/32] bound as a single sketch, unlike
-    {!Stats.merge_summaries}' worst-of-shards tail.  [src] is
-    unchanged. *)
+    percentiles carry the same [1/32] bound as a single sketch.  [src]
+    is unchanged. *)
 
 val merged : t list -> t
 (** Fresh sketch over the pooled streams of all inputs. *)

@@ -7,8 +7,8 @@
     each result into the slot of the task that produced it.  The merged
     output is therefore ordered by shard index regardless of worker
     count or scheduling, which is the determinism contract every
-    sharded driver ({!Harness.Perf}, [Inject.Campaign], [Serve.Driver])
-    builds on: deterministic tasks yield bit-identical results (and
+    sharded driver ({!Harness.Perf}, [Inject.Campaign], the red-team
+    and defense matrices) builds on: deterministic tasks yield bit-identical results (and
     trace digests) for 1 domain vs N.
 
     Tasks must be self-contained — no shared mutable state with the

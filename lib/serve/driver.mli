@@ -1,10 +1,13 @@
 (** Serving scenarios and the SLO report (BENCH_serve.json).
 
-    The report contains only virtual quantities — modeled cycles,
-    request counts, rates over the modeled clock — so the JSON emitted
-    for a given (scenario, seed) is byte-identical run to run.  The
-    trace digest of the whole run is part of the report, extending the
-    golden-trace regression net over the serving layer. *)
+    One report shape, schema ["autarky-serve/2"], covers both
+    scenarios: the 3-tenant {!default_scenario} and the fleet-scale
+    {!fleet_scenario}.  The report contains only virtual quantities —
+    modeled cycles, request counts, rates over the modeled clock — so
+    the JSON emitted for a given (scenario, seed) is byte-identical run
+    to run.  When the run traces, the trace digest of the whole run is
+    part of the report, extending the golden-trace regression net over
+    the serving layer. *)
 
 type tenant_report = {
   tr_name : string;
@@ -30,8 +33,7 @@ type tenant_report = {
           ({!Metrics.Sketch}-derived, within
           {!Metrics.Sketch.relative_error}) *)
   tr_sketch : Metrics.Sketch.t option;
-      (** the sketch itself when the tenant ran with sketch accounting —
-          fleet roll-ups pool these by bucket addition *)
+      (** the sketch itself when the tenant ran with sketch accounting *)
   tr_throughput_rps : float;  (** served requests per virtual second *)
   tr_shed_rate : float;  (** (shed + missed) / arrivals *)
   tr_departed : bool;  (** churn: tenant left before the end of the run *)
@@ -45,96 +47,30 @@ type tenant_report = {
 type report = {
   rp_seed : int;
   rp_quick : bool;
-  rp_tenants : tenant_report list;
+  rp_tenants : tenant_report list;  (** ordered by tenant index *)
   rp_end_cycle : int;
   rp_virtual_seconds : float;
   rp_arbiter_moves : int;
-  rp_digest : string option;
+  rp_digest : string option;  (** trace digest, when the run traced *)
+  rp_arrivals : int;
+  rp_served : int;
+  rp_shed : int;
+  rp_missed : int;
+  rp_joins : int;  (** tenants that joined after cycle 0 (churn) *)
+  rp_departures : int;
+  rp_refused : int;
+  rp_boot_cycles_total : int;  (** summed churn cold-start cost *)
+  rp_latency : Metrics.Stats.summary;
+      (** every tenant's served requests pooled into one distribution
+          ({!Tenant.pooled_latency}) *)
+  rp_latency_method : string;  (** ["pooled-sketch"] or ["pooled-exact"] *)
 }
 
 val default_scenario : quick:bool -> Tenant.config list
-(** The committed benchmark scenario: three tenants on one machine —
+(** Three tenants on one machine, one per protection policy —
     [kv] (kvstore / clusters / moderate open loop), [spell]
     (spellcheck / ORAM / closed loop) and [hash] (uthash / rate-limit /
     overloaded open loop, bounded queue + deadline). *)
-
-val report_of_result : seed:int -> quick:bool -> Engine.result -> report
-
-val to_json : report -> string
-(** Stable schema ["autarky-serve/1"]; deterministic for a fixed
-    (scenario, seed). *)
-
-val print_summary : report -> unit
-
-val run :
-  ?quick:bool -> ?seed:int -> ?no_arbiter:bool -> ?out:string ->
-  ?print:bool -> unit -> report
-(** Run {!default_scenario} and optionally write the JSON report. *)
-
-val run_scenario : ?quick:bool -> params:Engine.params -> Tenant.config list -> report
-(** Run an arbitrary scenario (used by the tests). *)
-
-(** {1 Fleet mode}
-
-    [K] independent members of {!default_scenario}, each on its own
-    machine with a seed split from the root via
-    {!Parallel.Pool.shard_seed} — member [i]'s report depends only on
-    (root seed, [i]), never on the worker count, so the fleet summary
-    (and every member digest) is identical at any [jobs]. *)
-
-type fleet_tenant = {
-  ft_name : string;
-  ft_workload : string;
-  ft_policy : string;
-  ft_arrivals : int;
-  ft_served : int;
-  ft_shed : int;
-  ft_missed : int;
-  ft_latency : Metrics.Stats.summary;
-      (** pooled {!Metrics.Sketch} merge when every member ran with
-          sketch accounting, else the conservative
-          {!Metrics.Stats.merge_summaries} worst-of-shards bound —
-          [ft_latency_method] says which *)
-  ft_latency_method : string;
-      (** ["pooled-sketch"] (percentiles of the pooled distribution,
-          within {!Metrics.Sketch.relative_error}) or
-          ["worst-of-shards"] (no shard exceeded these percentiles —
-          not pooled percentiles) *)
-  ft_throughput_rps : float;  (** mean over members *)
-}
-
-type fleet_report = {
-  fr_quick : bool;
-  fr_root_seed : int;
-  fr_members : report list;  (** ordered by shard index *)
-  fr_tenants : fleet_tenant list;
-}
-
-val fleet_to_json : fleet_report -> string
-(** Stable schema ["autarky-fleet/2"]; deterministic for a fixed
-    (root seed, member count, quick).  Each tenant row labels its
-    latency percentiles with the merge method ([latency_merge]). *)
-
-val print_fleet : fleet_report -> unit
-
-val fleet :
-  ?quick:bool -> ?seed:int -> ?members:int -> ?jobs:int ->
-  ?no_arbiter:bool -> ?sketch:bool -> ?out:string -> ?print:bool -> unit ->
-  fleet_report
-(** Run the fleet ([members] defaults to 4) over a domain pool
-    ([jobs] defaults to 1; [<= 0] means {!Parallel.Pool.default_jobs})
-    and merge the reports.  [sketch] (default false) runs every member
-    with {!Metrics.Sketch} latency accounting, which upgrades the
-    roll-up from worst-of-shards to a pooled-sketch merge.
-    @raise Invalid_argument when [members <= 0]. *)
-
-(** {1 Fleet scale}
-
-    Many tenants on {e one} machine — the ISSUE-10 serving path.  All
-    latency accounting is sketch-based (O(1) state per tenant), the
-    trace recorder is off, and the report carries a pooled-sketch fleet
-    roll-up, so memory stays O(tenants) however many arrivals the run
-    generates. *)
 
 val fleet_scenario : tenants:int -> quick:bool -> Tenant.config list
 (** The committed fleet-scale benchmark scenario: a fixed per-index mix
@@ -145,45 +81,31 @@ val fleet_scenario : tenants:int -> quick:bool -> Tenant.config list
     the quick-mode arrivals.
     @raise Invalid_argument when [tenants <= 0]. *)
 
-type fleet_scale_report = {
-  fs_quick : bool;
-  fs_seed : int;
-  fs_tenants_n : int;
-  fs_rows : tenant_report list;  (** ordered by tenant index *)
-  fs_end_cycle : int;
-  fs_virtual_seconds : float;
-  fs_arbiter_moves : int;
-  fs_arrivals : int;
-  fs_served : int;
-  fs_shed : int;
-  fs_missed : int;
-  fs_joins : int;  (** tenants that joined after cycle 0 (churn) *)
-  fs_departures : int;
-  fs_refused : int;
-  fs_boot_cycles_total : int;  (** summed churn cold-start cost *)
-  fs_fleet_latency : Metrics.Stats.summary;
-      (** pooled-sketch roll-up over every tenant's served requests *)
-  fs_latency_method : string;
-      (** ["pooled-sketch"], or ["worst-of-shards"] if any tenant lacked
-          a sketch *)
-}
+type scenario =
+  | Default  (** {!default_scenario}: traced, exact latency accounting *)
+  | Fleet of int
+      (** {!fleet_scenario} with that many tenants: untraced, sketch
+          latency accounting, so memory stays O(tenants) however many
+          arrivals the run generates *)
 
-val fleet_scale_to_json : fleet_scale_report -> string
+val report_of_result : seed:int -> quick:bool -> Engine.result -> report
+
+val to_json : report -> string
 (** Stable schema ["autarky-serve/2"]: fleet totals (including churn
     counts), the labeled fleet latency roll-up with its error bound,
-    and one row per tenant.  No worker-count-dependent value appears,
-    so the bytes are identical at any [jobs]. *)
+    and one row per tenant; ["trace_digest"] only when the run traced.
+    Deterministic for a fixed (scenario, seed). *)
 
-val print_fleet_scale : fleet_scale_report -> unit
+val print_summary : report -> unit
 
-val run_fleet_scale :
-  ?quick:bool -> ?seed:int -> ?tenants:int -> ?jobs:int -> ?out:string ->
-  ?print:bool -> unit -> fleet_scale_report
-(** Run {!fleet_scenario} ([tenants] defaults to 100) and optionally
-    write the [autarky-serve/2] JSON.  [jobs] shards the report
-    extraction; the output is byte-identical at any value. *)
+val run :
+  ?quick:bool -> ?seed:int -> ?no_arbiter:bool -> ?out:string ->
+  ?print:bool -> scenario:scenario -> unit -> report
+(** Run [scenario] and optionally write the JSON report to [out].
+    [no_arbiter] disables the EPC arbiter (static partitions only).
+    @raise Invalid_argument for [Fleet n] with [n <= 0]. *)
 
-val check : baseline:string -> ?tolerance:float -> ?jobs:int -> unit -> bool
+val check : baseline:string -> ?tolerance:float -> unit -> bool
 (** The serve regression gate ([autarky_sim serve --check]): validate
     the committed [autarky-serve/2] baseline (schema, exact arrival
     conservation per tenant and in total), then re-run the fleet-scale

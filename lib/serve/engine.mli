@@ -78,8 +78,8 @@ type params = {
   p_sketch : bool;
       (** latency accounting via {!Metrics.Sketch} (O(1) memory per
           tenant) instead of exact {!Metrics.Stats} — the fleet-scale
-          path.  Default [false]: the [autarky-serve/1] report stays
-          byte-identical to the pre-sketch engine *)
+          path.  Default [false]: exact accounting, as the 3-tenant
+          scenario runs *)
   p_hooks : hooks option;
       (** [None] (the default) leaves the event loop — and its trace
           digest — bit-for-bit identical to the hook-free engine *)

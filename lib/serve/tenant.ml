@@ -286,6 +286,19 @@ let latency_summary t =
   | Some sk -> Metrics.Sketch.summary sk
   | None -> Metrics.Stats.summary t.lat
 
+(* One engine run gives every tenant the same backend, so the pool is
+   either all sketches (bucket addition) or all exact sample sets. *)
+let pooled_latency ts =
+  let ts = Array.to_list ts in
+  match List.filter_map sketch ts with
+  | [] ->
+    ( Metrics.Stats.summary (Metrics.Stats.merged (List.map latencies ts)),
+      "pooled-exact" )
+  | sks when List.length sks = List.length ts ->
+    (Metrics.Sketch.summary (Metrics.Sketch.merged sks), "pooled-sketch")
+  | _ ->
+    invalid_arg "Serve.Tenant.pooled_latency: mixed sketch and exact tenants"
+
 let boot_cycles t = t.boot_cycles
 let svc_mean t = t.svc_mean
 let set_svc_mean t m = t.svc_mean <- m

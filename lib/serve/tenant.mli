@@ -115,6 +115,13 @@ val latency_summary : t -> Metrics.Stats.summary
 (** Latency summary from the active backend: sketch-derived (within
     {!Metrics.Sketch.relative_error}) or exact. *)
 
+val pooled_latency : t array -> Metrics.Stats.summary * string
+(** Latency summary of the tenants' served requests pooled into one
+    distribution, with its method: ["pooled-sketch"] (sketch bucket
+    addition, within {!Metrics.Sketch.relative_error}) or
+    ["pooled-exact"] (the union of the exact sample sets).
+    @raise Invalid_argument when the tenants mix the two backends. *)
+
 val boot_cycles : t -> int
 (** Cold-start cost (build + attestation, modeled cycles) charged at
     this tenant's churn join; 0 for tenants present from the start. *)

@@ -103,16 +103,27 @@ let contains ~affix s =
   let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
   m = 0 || go 0
 
-let mini_fleet2 =
+let mini_serve2 =
   {|{
-  "schema": "autarky-fleet/2",
+  "schema": "autarky-serve/2",
   "quick": true,
-  "root_seed": 7,
-  "members": [ {"shard": 0, "seed": 9, "end_cycle": 10, "arbiter_moves": 0} ],
+  "seed": 7,
+  "tenants_n": 1,
+  "end_cycle": 10,
+  "virtual_seconds": 0.01,
+  "arbiter_moves": 0,
+  "totals": {"arrivals": 4, "served": 4, "shed": 0, "deadline_missed": 0,
+    "joins": 0, "departures": 0, "refused": 0, "boot_cycles_total": 0},
+  "fleet_latency": {"method": "pooled-sketch", "rel_error": 0.03125,
+    "count": 4, "mean": 1.0, "p50": 1.0, "p95": 2.0, "p99": 2.0, "max": 2.0},
   "tenants": [
     {"name": "kv", "workload": "kvstore", "policy": "clusters",
-     "arrivals": 4, "served": 4, "shed": 0, "deadline_missed": 0,
-     "throughput_rps": 1.0, "latency_merge": "pooled-sketch",
+     "generator": "open-loop", "arrivals": 4, "served": 4, "shed": 0,
+     "deadline_missed": 0, "terminations": 0, "restarts": 0,
+     "refused": false, "departed": false, "arrive_after": 0,
+     "depart_after": -1, "boot_cycles": 0, "faults": 0,
+     "svc_mean_cycles": 1.0, "throughput_rps": 1.0, "shed_rate": 0.0,
+     "latency_method": "sketch",
      "latency_cycles": {"count": 4, "mean": 1.0, "p50": 1.0, "p95": 2.0,
        "p99": 2.0, "max": 2.0}}
   ]
@@ -120,7 +131,7 @@ let mini_fleet2 =
 
 let test_schema_accepts_valid () =
   match
-    Harness.Schema.validate ~ctx:"mini" (Harness.Microjson.of_string mini_fleet2)
+    Harness.Schema.validate ~ctx:"mini" (Harness.Microjson.of_string mini_serve2)
   with
   | Ok () -> ()
   | Error es -> Alcotest.failf "unexpected errors: %s" (String.concat "; " es)
@@ -144,31 +155,34 @@ let test_schema_rejects_missing_schema_field () =
 let test_schema_rejects_missing_row_key () =
   (* Drop a required row key and the validator must name it. *)
   let doc =
-    (* Cut the latency_merge key out of the valid document. *)
-    let needle = {|"latency_merge": "pooled-sketch",|} in
+    (* Cut the latency_method key out of the valid document. *)
+    let needle = {|"latency_method": "sketch",|} in
     let i =
-      let n = String.length mini_fleet2 and m = String.length needle in
+      let n = String.length mini_serve2 and m = String.length needle in
       let rec go i =
         if i + m > n then -1
-        else if String.sub mini_fleet2 i m = needle then i
+        else if String.sub mini_serve2 i m = needle then i
         else go (i + 1)
       in
       go 0
     in
-    String.sub mini_fleet2 0 i
-    ^ String.sub mini_fleet2
+    String.sub mini_serve2 0 i
+    ^ String.sub mini_serve2
         (i + String.length needle)
-        (String.length mini_fleet2 - i - String.length needle)
+        (String.length mini_serve2 - i - String.length needle)
   in
   match Harness.Schema.validate ~ctx:"x" (Harness.Microjson.of_string doc) with
   | Ok () -> Alcotest.fail "missing row key accepted"
   | Error es ->
     Alcotest.(check bool) "names the key" true
-      (List.exists (fun e -> contains ~affix:"latency_merge" e) es)
+      (List.exists (fun e -> contains ~affix:"latency_method" e) es)
 
 let test_schema_rejects_wrong_shape () =
-  let doc = {|{"schema": "autarky-fleet/2", "quick": 1, "root_seed": 7,
-               "members": [], "tenants": []}|} in
+  let doc =
+    {|{"schema": "autarky-serve/2", "quick": 1, "seed": 7, "tenants_n": 0,
+       "end_cycle": 0, "virtual_seconds": 0, "arbiter_moves": 0,
+       "totals": {}, "fleet_latency": {}, "tenants": []}|}
+  in
   match Harness.Schema.validate ~ctx:"x" (Harness.Microjson.of_string doc) with
   | Ok () -> Alcotest.fail "bool-typed field accepted as number"
   | Error es ->

@@ -406,7 +406,7 @@ let test_sketch_empty () =
 
 let test_sketch_merge_is_pooled () =
   (* Merging shard sketches must equal sketching the pooled stream —
-     the property Stats.merge_summaries lacks. *)
+     the property the serve fleet roll-up rests on. *)
   let rng = Metrics.Rng.create ~seed:21L in
   let shard1 = List.init 2_000 (fun _ -> Metrics.Rng.int rng 500_000) in
   let shard2 = List.init 700 (fun _ -> 1_000_000 + Metrics.Rng.int rng 500) in

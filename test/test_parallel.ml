@@ -143,23 +143,6 @@ let test_stats_merge_exact () =
   checkb "summary equals unsharded run" true
     (Metrics.Stats.summary m = Metrics.Stats.summary whole)
 
-let test_merge_summaries () =
-  let zero = Metrics.Stats.summary (Metrics.Stats.create ()) in
-  checkb "empty list is all-zero" true
-    (Metrics.Stats.merge_summaries [] = zero);
-  checkb "all-empty is all-zero" true
-    (Metrics.Stats.merge_summaries [ zero; zero ] = zero);
-  let s samples =
-    let t = Metrics.Stats.create () in
-    List.iter (Metrics.Stats.add t) samples;
-    Metrics.Stats.summary t
-  in
-  let m = Metrics.Stats.merge_summaries [ s [ 10.0; 20.0 ]; s [ 40.0 ]; zero ] in
-  checki "counts summed" 3 m.Metrics.Stats.s_count;
-  checkb "count-weighted mean" true (abs_float (m.Metrics.Stats.s_mean -. (70.0 /. 3.0)) < 1e-9);
-  checkb "worst max" true (m.Metrics.Stats.s_max = 40.0);
-  checkb "worst p99" true (m.Metrics.Stats.s_p99 = 40.0)
-
 (* --- properties ---------------------------------------------------------- *)
 
 (* The invariant the sharded drivers rest on: counting into per-shard
@@ -213,7 +196,6 @@ let suite =
     Alcotest.test_case "shard_seed" `Quick test_shard_seed;
     Alcotest.test_case "counters merge" `Quick test_counters_merge;
     Alcotest.test_case "stats merge is exact" `Quick test_stats_merge_exact;
-    Alcotest.test_case "merge_summaries" `Quick test_merge_summaries;
     QCheck_alcotest.to_alcotest prop_sharded_counters_equal_serial;
     QCheck_alcotest.to_alcotest prop_pool_map_is_list_map;
   ]

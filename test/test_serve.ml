@@ -93,9 +93,14 @@ let params ?(seed = 11) ?arbiter ?attack ?(max_restarts = 3) () =
     p_attack = attack;
   }
 
+(* The report of one engine run over [cfgs]. *)
+let run_scenario ~params cfgs =
+  Serve.Driver.report_of_result ~seed:params.Serve.Engine.p_seed ~quick:true
+    (Serve.Engine.run ~params cfgs)
+
 let test_fixed_seed_determinism () =
   let run () =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:(params ~arbiter:Serve.Engine.default_arbiter ())
       (small_cfgs ())
   in
@@ -104,11 +109,15 @@ let test_fixed_seed_determinism () =
   checkb "digest present" true (r1.Serve.Driver.rp_digest <> None);
   checks "identical trace digests"
     (Option.get r1.Serve.Driver.rp_digest)
-    (Option.get r2.Serve.Driver.rp_digest)
+    (Option.get r2.Serve.Driver.rp_digest);
+  checkb "digest written to the JSON" true
+    (Harness.Microjson.member "trace_digest"
+       (Harness.Microjson.of_string (Serve.Driver.to_json r1))
+    = Some (Harness.Microjson.Str (Option.get r1.Serve.Driver.rp_digest)))
 
 let test_admission_accounting () =
   let r =
-    Serve.Driver.run_scenario ~quick:true ~params:(params ()) (small_cfgs ())
+    run_scenario ~params:(params ()) (small_cfgs ())
   in
   List.iter
     (fun t ->
@@ -131,12 +140,12 @@ let test_overload_sheds_neighbour_keeps_slo () =
   (* The overloaded tenant sheds; the well-behaved tenant's p99 stays
      within 2x of what it sees with no overloaded neighbour at all. *)
   let loaded =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:(params ~arbiter:Serve.Engine.default_arbiter ())
       (small_cfgs ())
   in
   let unloaded =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:(params ~arbiter:Serve.Engine.default_arbiter ())
       (small_cfgs ~hash_load:0.3 ~hash_requests:40 ())
   in
@@ -156,7 +165,7 @@ let test_overload_sheds_neighbour_keeps_slo () =
 
 let test_arbiter_moves_frames_toward_pressure () =
   let r =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:(params ~arbiter:Serve.Engine.default_arbiter ())
       (small_cfgs ())
   in
@@ -176,7 +185,7 @@ let test_arbiter_moves_frames_toward_pressure () =
    the co-tenant is unaffected. *)
 let test_restart_monitor_refuses_churning_tenant () =
   let r =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:
         (params ~max_restarts:1
            ~attack:{ Serve.Engine.atk_victim = "hash"; atk_every = 3 }
@@ -287,7 +296,7 @@ let test_request_path_allocation_bounded () =
       { (params ()) with Serve.Engine.p_trace = false; p_sketch = true }
     in
     let a0 = Gc.allocated_bytes () in
-    ignore (Serve.Driver.run_scenario ~quick:true ~params cfgs);
+    ignore (run_scenario ~params cfgs);
     Gc.allocated_bytes () -. a0
   in
   ignore (run 50);  (* warm any lazy initialisation *)
@@ -302,7 +311,7 @@ let test_request_path_allocation_bounded () =
 
 let test_sketch_mode_matches_exact_counts () =
   let run sketch =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:{ (params ()) with Serve.Engine.p_sketch = sketch }
       (small_cfgs ())
   in
@@ -328,19 +337,18 @@ let test_sketch_mode_matches_exact_counts () =
         && sp <= (ep *. (1.0 +. Metrics.Sketch.relative_error)) +. 1.0))
     exact.Serve.Driver.rp_tenants sk.Serve.Driver.rp_tenants
 
-let test_serve1_json_unchanged_by_flag_default () =
-  (* p_sketch defaults to false: the autarky-serve/1 report of the
-     default engine must not change shape or values vs an explicit
-     exact run. *)
+let test_json_unchanged_by_sketch_flag_default () =
+  (* p_sketch defaults to false: the report of the default engine must
+     not change shape or values vs an explicit exact run. *)
   let r1 =
-    Serve.Driver.run_scenario ~quick:true ~params:(params ()) (small_cfgs ())
+    run_scenario ~params:(params ()) (small_cfgs ())
   in
   let r2 =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:{ (params ()) with Serve.Engine.p_sketch = false }
       (small_cfgs ())
   in
-  checks "identical serve/1 JSON" (Serve.Driver.to_json r1)
+  checks "identical JSON" (Serve.Driver.to_json r1)
     (Serve.Driver.to_json r2)
 
 (* --- new generators in the engine --------------------------------------- *)
@@ -361,7 +369,7 @@ let test_heavy_tail_and_diurnal_deterministic () =
       };
     ]
   in
-  let run () = Serve.Driver.run_scenario ~quick:true ~params:(params ()) cfgs in
+  let run () = run_scenario ~params:(params ()) cfgs in
   let r1 = run () and r2 = run () in
   checks "identical reports" (Serve.Driver.to_json r1) (Serve.Driver.to_json r2);
   List.iter
@@ -396,7 +404,7 @@ let churn_cfgs () =
 
 let test_churn_join_and_depart () =
   let r =
-    Serve.Driver.run_scenario ~quick:true ~params:(params ()) (churn_cfgs ())
+    run_scenario ~params:(params ()) (churn_cfgs ())
   in
   let find name =
     List.find (fun t -> t.Serve.Driver.tr_name = name) r.Serve.Driver.rp_tenants
@@ -423,7 +431,7 @@ let test_churn_join_and_depart () =
 
 let test_churn_deterministic () =
   let run () =
-    Serve.Driver.run_scenario ~quick:true ~params:(params ()) (churn_cfgs ())
+    run_scenario ~params:(params ()) (churn_cfgs ())
   in
   let r1 = run () and r2 = run () in
   checks "identical churn reports" (Serve.Driver.to_json r1)
@@ -448,7 +456,7 @@ let test_churn_join_goes_through_monitor () =
     ]
   in
   let r =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:
         (params ~max_restarts:1
            ~attack:{ Serve.Engine.atk_victim = "hash"; atk_every = 3 }
@@ -466,60 +474,77 @@ let test_churn_join_goes_through_monitor () =
     (late.Serve.Driver.tr_served + late.Serve.Driver.tr_shed
    + late.Serve.Driver.tr_missed)
 
-(* --- fleet scale --------------------------------------------------------- *)
+(* --- the one report: fleet scale and the 3-tenant default ---------------- *)
+
+let run_report ?no_arbiter scenario =
+  Serve.Driver.run ~quick:true ~seed:5 ?no_arbiter ~print:false ~scenario ()
 
 let test_fleet_scale_report () =
-  let fs =
-    Serve.Driver.run_fleet_scale ~quick:true ~seed:5 ~tenants:12 ~jobs:1
-      ~print:false ()
-  in
-  checki "tenant rows" 12 (List.length fs.Serve.Driver.fs_rows);
-  checki "conservation" fs.Serve.Driver.fs_arrivals
-    (fs.Serve.Driver.fs_served + fs.Serve.Driver.fs_shed
-   + fs.Serve.Driver.fs_missed);
-  checks "pooled sketch roll-up" "pooled-sketch" fs.Serve.Driver.fs_latency_method;
+  let fleet = run_report (Serve.Driver.Fleet 12) in
+  checki "tenant rows" 12 (List.length fleet.Serve.Driver.rp_tenants);
   checkb "churn happened" true
-    (fs.Serve.Driver.fs_joins > 0 && fs.Serve.Driver.fs_departures > 0);
-  checkb "cold starts charged" true (fs.Serve.Driver.fs_boot_cycles_total > 0);
+    (fleet.Serve.Driver.rp_joins > 0 && fleet.Serve.Driver.rp_departures > 0);
+  checkb "cold starts charged" true (fleet.Serve.Driver.rp_boot_cycles_total > 0);
   List.iter
     (fun t ->
       checks (t.Serve.Driver.tr_name ^ ": sketch accounting") "sketch"
         t.Serve.Driver.tr_latency_method)
-    fs.Serve.Driver.fs_rows;
-  (* The roll-up count equals the summed served requests. *)
-  checki "fleet latency counts served"
-    fs.Serve.Driver.fs_served
-    fs.Serve.Driver.fs_fleet_latency.Metrics.Stats.s_count
-
-let test_fleet_scale_jobs_invariant () =
-  let run jobs =
-    Serve.Driver.fleet_scale_to_json
-      (Serve.Driver.run_fleet_scale ~quick:true ~seed:5 ~tenants:12 ~jobs
-         ~print:false ())
-  in
-  checks "byte-identical at jobs 1 vs 3" (run 1) (run 3)
+    fleet.Serve.Driver.rp_tenants;
+  (* Both scenarios report through the same path: the totals conserve
+     and the roll-up pools every served request. *)
+  let default = run_report Serve.Driver.Default in
+  List.iter
+    (fun (r, meth) ->
+      checki (meth ^ ": conservation") r.Serve.Driver.rp_arrivals
+        (r.Serve.Driver.rp_served + r.Serve.Driver.rp_shed
+       + r.Serve.Driver.rp_missed);
+      checks (meth ^ ": roll-up method") meth r.Serve.Driver.rp_latency_method;
+      checki (meth ^ ": roll-up counts served") r.Serve.Driver.rp_served
+        r.Serve.Driver.rp_latency.Metrics.Stats.s_count)
+    [ (fleet, "pooled-sketch"); (default, "pooled-exact") ];
+  (* --no-arbiter reaches both scenarios: no move, every partition ends
+     at its configured size. *)
+  checkb "arbiter acts when enabled" true (default.Serve.Driver.rp_arbiter_moves > 0);
+  List.iter
+    (fun (scenario, cfgs) ->
+      let r = run_report ~no_arbiter:true scenario in
+      checki "no arbiter moves" 0 r.Serve.Driver.rp_arbiter_moves;
+      List.iter2
+        (fun t c ->
+          checki (t.Serve.Driver.tr_name ^ ": static partition")
+            c.Serve.Tenant.partition_frames t.Serve.Driver.tr_partition_end)
+        r.Serve.Driver.rp_tenants cfgs)
+    [
+      (Serve.Driver.Fleet 12, Serve.Driver.fleet_scenario ~tenants:12 ~quick:true);
+      (Serve.Driver.Default, Serve.Driver.default_scenario ~quick:true);
+    ]
 
 let test_fleet_scale_json_validates () =
-  let fs =
-    Serve.Driver.run_fleet_scale ~quick:true ~seed:5 ~tenants:6 ~jobs:1
-      ~print:false ()
-  in
-  match
-    Harness.Schema.validate ~ctx:"serve2"
-      (Harness.Microjson.of_string (Serve.Driver.fleet_scale_to_json fs))
-  with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "serve/2 JSON invalid: %s" (String.concat "; " es)
+  let fleet = run_report (Serve.Driver.Fleet 6) in
+  let default = run_report Serve.Driver.Default in
+  checkb "only the default scenario traces" true
+    (fleet.Serve.Driver.rp_digest = None && default.Serve.Driver.rp_digest <> None);
+  List.iter
+    (fun (ctx, r) ->
+      let j = Harness.Microjson.of_string (Serve.Driver.to_json r) in
+      (match Harness.Schema.validate ~ctx j with
+      | Ok () -> ()
+      | Error es -> Alcotest.failf "serve/2 JSON invalid: %s" (String.concat "; " es));
+      checkb (ctx ^ ": schema") true
+        (Harness.Microjson.member "schema" j
+        = Some (Harness.Microjson.Str "autarky-serve/2"));
+      checkb (ctx ^ ": trace_digest only when traced")
+        (r.Serve.Driver.rp_digest <> None)
+        (Harness.Microjson.member "trace_digest" j <> None))
+    [ ("fleet", fleet); ("default", default) ]
 
 let test_check_gate_round_trip () =
   (* A baseline written by the quick fleet-scale run must pass its own
      gate (drift 0), and a corrupted one must fail the exact layer. *)
   let file = Filename.temp_file "serve_check" ".json" in
-  let fs =
-    Serve.Driver.run_fleet_scale ~quick:true ~seed:5 ~tenants:6 ~jobs:1
-      ~out:file ~print:false ()
-  in
-  ignore fs;
+  ignore
+    (Serve.Driver.run ~quick:true ~seed:5 ~out:file ~print:false
+       ~scenario:(Serve.Driver.Fleet 6) ());
   checkb "self-check passes" true
     (Serve.Driver.check ~baseline:file ~tolerance:0.01 ());
   (* Break conservation in the totals. *)
@@ -555,8 +580,8 @@ let suite =
      test_request_path_allocation_bounded);
     ("sketch mode matches exact counts", `Quick,
      test_sketch_mode_matches_exact_counts);
-    ("serve/1 json unchanged by flag default", `Quick,
-     test_serve1_json_unchanged_by_flag_default);
+    ("json unchanged by sketch flag default", `Quick,
+     test_json_unchanged_by_sketch_flag_default);
     ("heavy-tail and diurnal deterministic", `Quick,
      test_heavy_tail_and_diurnal_deterministic);
     ("churn join and depart", `Quick, test_churn_join_and_depart);
@@ -564,7 +589,6 @@ let suite =
     ("churn join goes through monitor", `Quick,
      test_churn_join_goes_through_monitor);
     ("fleet-scale report", `Quick, test_fleet_scale_report);
-    ("fleet-scale jobs invariant", `Quick, test_fleet_scale_jobs_invariant);
     ("fleet-scale json validates", `Quick, test_fleet_scale_json_validates);
     ("check gate round trip", `Quick, test_check_gate_round_trip);
   ]
