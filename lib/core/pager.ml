@@ -148,20 +148,32 @@ let oldest_residents t n =
   done;
   List.rev !acc
 
+let find_oldest t n ok =
+  drop_dead t;
+  let mask = Array.length t.fq_vp - 1 in
+  let rec go i seen =
+    if seen >= n || i = t.fq_tail then -1
+    else
+      let s = i land mask in
+      let vp = t.fq_vp.(s) in
+      if not (live_entry t vp t.fq_seq.(s)) then go (i + 1) seen
+      else if ok vp then vp
+      else go (i + 1) (seen + 1)
+  in
+  go t.fq_head 0
+
 let fresh_version t =
   t.version_counter <- t.version_counter + 1;
   t.version_counter
 
 (* --- SGXv2 in-enclave paging ---------------------------------------- *)
 
-(* SGXv2 eviction is split in two around a batched seal: first make
-   every page read-only and snapshot it, then stream the whole run
-   through [Sealer.seal_batch_into] (which reuses the sealer's scratch
-   buffers across pages), publishing and trimming each page as its blob
-   is produced.  Bit-identical to sealing one page at a time — only the
-   instruction interleave across pages changes, and the seal itself
-   charges no cycles and emits no events, so the clock at every
-   instruction boundary is unchanged too. *)
+(* SGXv2 eviction is split in two around the seals: first make every
+   page read-only and snapshot it, then seal each page, publishing and
+   trimming it as its blob is produced.  Bit-identical to sealing one
+   page at a time — only the instruction interleave across pages
+   changes, and the seal itself charges no cycles and emits no events,
+   so the clock at every instruction boundary is unchanged too. *)
 let sgx2_evict_prepare t i vp =
   let cm = Sgx.Machine.model t.machine in
   (* Make the page read-only so sealing is race-free. *)
@@ -190,17 +202,15 @@ let sgx2_evict t pages =
     t.ev_pages <- Array.make cap 0;
     t.ev_plain <- Array.make cap Bytes.empty
   end;
-  let i = ref 0 in
-  List.iter
-    (fun vp ->
-      sgx2_evict_prepare t !i vp;
-      Stdlib.incr i)
-    pages;
-  Sim_crypto.Sealer.seal_batch_into t.sealer ~n
-    ~vaddr:(fun i -> Int64.of_int (Sgx.Types.vaddr_of_vpage t.ev_pages.(i)))
-    ~version:(fun i -> Int64.of_int (Sgx.Flat.find t.versions t.ev_pages.(i)))
-    ~plaintext:(fun i -> t.ev_plain.(i))
-    ~sink:(fun i sealed -> sgx2_evict_finish t t.ev_pages.(i) sealed);
+  List.iteri (sgx2_evict_prepare t) pages;
+  for i = 0 to n - 1 do
+    let vp = t.ev_pages.(i) in
+    sgx2_evict_finish t vp
+      (Sim_crypto.Sealer.seal t.sealer
+         ~vaddr:(Int64.of_int (Sgx.Types.vaddr_of_vpage vp))
+         ~version:(Int64.of_int (Sgx.Flat.find t.versions vp))
+         t.ev_plain.(i))
+  done;
   (* Drop the plaintext refs so the scratch array does not pin pages. *)
   Array.fill t.ev_plain 0 n Bytes.empty
 

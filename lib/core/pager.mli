@@ -40,6 +40,11 @@ val oldest_resident : t -> vpage option
 val oldest_residents : t -> int -> vpage list
 (** Up to [n] distinct resident pages in FIFO order. *)
 
+val find_oldest : t -> int -> (vpage -> bool) -> vpage
+(** [find_oldest t n ok] is the first of [oldest_residents t n] that
+    satisfies [ok], or [-1] if none does — the same candidates in the
+    same order, without building the list. *)
+
 val fetch : t -> vpage list -> unit
 (** Bring the given non-resident pages in (already-resident pages are
     skipped).  The caller must have made room within the budget.

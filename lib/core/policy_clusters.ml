@@ -39,19 +39,20 @@ let emit t k =
 (* A victim cluster must not overlap the incoming fetch set: evicting
    pages we are about to fetch would both waste work and break the
    residence invariant for partially-evicted clusters. *)
+let rec overlaps in_fetch = function
+  | [] -> false
+  | vp :: rest -> Sgx.Flat.mem in_fetch vp || overlaps in_fetch rest
+
 let choose_victims t ~fetching () =
   let pager = Runtime.pager t.runtime in
   Sgx.Flat.clear t.in_fetch;
   List.iter (fun vp -> Sgx.Flat.set t.in_fetch vp 1) fetching;
-  let candidates = Pager.oldest_residents pager 64 in
-  let rec pick = function
-    | [] -> []
-    | vp :: rest ->
-      let set = Clusters.evict_set t.cl vp in
-      if List.exists (Sgx.Flat.mem t.in_fetch) set then pick rest
-      else List.filter (Pager.resident pager) set
-  in
-  pick candidates
+  match
+    Pager.find_oldest pager 64 (fun vp ->
+        not (overlaps t.in_fetch (Clusters.evict_set t.cl vp)))
+  with
+  | -1 -> []
+  | vp -> List.filter (Pager.resident pager) (Clusters.evict_set t.cl vp)
 
 let on_miss t vp _sf =
   let pager = Runtime.pager t.runtime in

@@ -19,6 +19,12 @@ val set_min_budget : t -> int -> unit
     budget, counted in ["rt.policy_degraded"].  Keep it larger than the
     biggest cluster fetch set. *)
 
+val choose_victims : t -> fetching:Sgx.Types.vpage list -> unit -> Sgx.Types.vpage list
+(** The next eviction batch while [fetching] comes in: among the 64
+    FIFO-oldest resident pages, the first whose evict set shares no page
+    with [fetching]; the resident members of that set, or [[]] when no
+    candidate qualifies. *)
+
 val policy : t -> Runtime.policy
 val clusters : t -> Clusters.t
 val cluster_fetches : t -> int

@@ -1,12 +1,12 @@
 (** ChaCha20 stream cipher (RFC 8439 core).
 
     Stands in for the AES-NI / MEE encryption the paper's prototype uses
-    for swapped-out page contents.  Pure OCaml, constant-shape (no
-    data-dependent branches on key or plaintext).
+    for swapped-out page contents.  Constant-shape (no data-dependent
+    branches on key or plaintext).
 
-    Implemented on unboxed native-int arithmetic with preallocated
-    state and keystream scratch; bit-identical to the boxed reference
-    in {!Chacha20_ref}. *)
+    The block function is C ([crypto_stubs.c]); it XORs the keystream
+    straight into the output, which is the only allocation.
+    Bit-identical to the OCaml reference in {!Chacha20_ref}. *)
 
 type key = bytes
 (** 32-byte key. *)
@@ -19,7 +19,8 @@ val key_of_string : string -> key
     convenient for tests. Raises [Invalid_argument] on the empty string. *)
 
 val block : key:key -> counter:int32 -> nonce:nonce -> bytes
-(** One 64-byte keystream block. *)
+(** One 64-byte keystream block.  Raises [Invalid_argument] unless the
+    key is 32 bytes and the nonce 12 (so does {!xor_stream}). *)
 
 val xor_stream : key:key -> ?counter:int32 -> nonce:nonce -> bytes -> bytes
 (** Encrypt/decrypt: XOR the input with the keystream starting at

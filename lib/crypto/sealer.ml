@@ -2,8 +2,8 @@ type t = {
   enc_key : Chacha20.key;
   mac_key : Siphash.key;
   (* Scratch reused across seal/unseal calls so the per-page paths
-     (EWB/ELDU, the SGXv2 evict/fetch loops) only allocate the
-     ciphertext/plaintext they hand back. *)
+     (EWB/ELDU, the SGXv2 evict/fetch loops) only allocate what they
+     hand back. *)
   nonce_buf : bytes;
   mutable mac_buf : bytes;
 }
@@ -40,8 +40,9 @@ let set_nonce t ~vaddr ~version =
 
 (* MAC over ciphertext ‖ LE64(vaddr) ‖ LE64(version).  [mac_buf] is
    sized exactly (SipHash covers the whole buffer) and reused while the
-   page size stays constant — the steady state. *)
-let mac_of t ~vaddr ~version ciphertext =
+   page size stays constant — the steady state.  Inlined so the digest
+   stays unboxed into [unseal]'s comparison. *)
+let[@inline] mac_of t ~vaddr ~version ciphertext =
   let n = Bytes.length ciphertext in
   if Bytes.length t.mac_buf <> n + 16 then t.mac_buf <- Bytes.create (n + 16);
   let buf = t.mac_buf in

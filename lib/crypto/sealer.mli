@@ -5,13 +5,14 @@
     custom in-enclave encryption the paper's SGXv2 path uses
     (ChaCha20 + SipHash encrypt-then-MAC, version bound into the MAC).
 
-    A sealing context owns reused nonce and MAC scratch buffers, so the
-    hot eviction/reload paths allocate only the ciphertext or plaintext
-    they return. *)
+    A sealing context owns reused nonce and MAC-input buffers, so the
+    hot eviction/reload paths allocate only what they return: a seal
+    allocates its fresh ciphertext, the [sealed] record and the boxed
+    MAC. *)
 
 type t
 (** Sealing context holding the encryption and MAC keys plus reused
-    scratch buffers. *)
+    nonce and MAC-input buffers. *)
 
 type sealed = {
   ciphertext : bytes;
@@ -39,9 +40,8 @@ val unseal :
 
 (** {1 Batch operations}
 
-    Seal or unseal a run of pages through one context, reusing its
-    scratch buffers across pages.  Results are in input order and
-    bit-identical to sealing each page individually. *)
+    Seal or unseal a run of pages through one context.  Results are in
+    input order and bit-identical to sealing each page individually. *)
 
 val seal_batch : t -> (int64 * int64 * bytes) list -> sealed list
 (** Each item is [(vaddr, version, plaintext)]. *)

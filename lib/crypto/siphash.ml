@@ -1,207 +1,18 @@
-(* SipHash-2-4 on unboxed native-int arithmetic.
+(* SipHash-2-4: OCaml entry points over the C compression loop in
+   crypto_stubs.c.  The digest comes back as an unboxed [int64], so
+   hashing allocates nothing.  Output is bit-identical to
+   {!Siphash_ref}; see test/test_crypto.ml for the differential and
+   reference-vector checks. *)
 
-   OCaml boxes [Int64] values, so the reference implementation
-   ({!Siphash_ref}) allocates a box for nearly every rotate/add/xor.
-   Here each 64-bit lane is split into two native-int 32-bit halves
-   (always kept in [0, 2^32)):
-
-   - add: add both halves, propagate the low half's carry ([lo lsr 32]);
-   - xor: halfwise;
-   - rotl n, n < 32: each half takes its own top bits shifted up and the
-     other half's top bits shifted down;
-   - rotl 32: swap the halves.
-
-   The eight state halves are threaded as parameters of the recursive
-   compression loop: without flambda that is the only way to keep them
-   in registers rather than paying a memory round-trip per step.  The
-   SipRound body is therefore expanded textually (twice in [comp] for
-   the c-rounds, once in [drounds] for the d-rounds).  The only [Int64]
-   value touched is the final digest recombination.  Output is
-   bit-identical to the reference; see test/test_crypto.ml for the
-   differential and reference-vector checks. *)
-
-type key = { k0h : int; k0l : int; k1h : int; k1l : int }
-
-let mask32 = 0xFFFF_FFFF
-
-(* Unchecked little-endian word load for the compression loop: the
-   offsets are bounded by the word count computed from the length, so
-   the safe accessor's bounds check is pure overhead.  Big-endian hosts
-   take the safe byte-swapping accessor instead. *)
-external unsafe_get_32 : bytes -> int -> int32 = "%caml_bytes_get32u"
-
-let be = Sys.big_endian
-
-let[@inline] half b off =
-  Int32.to_int (if be then Bytes.get_int32_le b off else unsafe_get_32 b off)
-  land mask32
+type key = bytes  (* the 16 key bytes, little-endian k0 ‖ k1 *)
 
 let key_of_bytes b =
   if Bytes.length b < 16 then invalid_arg "Siphash.key_of_bytes: need 16 bytes";
-  { k0l = half b 0; k0h = half b 4; k1l = half b 8; k1h = half b 12 }
+  Bytes.sub b 0 16
 
-(* Low / high half of the final message word: the last [rem] bytes of
-   [data] (little-endian, [rem] < 8) with the length byte already in
-   [acc] for the high half. *)
-let rec tail_lo data base i acc =
-  if i < 0 then acc
-  else
-    tail_lo data base (i - 1)
-      (acc lor (Char.code (Bytes.get data (base + i)) lsl (8 * i)))
-
-let rec tail_hi data base i acc =
-  if i < 4 then acc
-  else
-    tail_hi data base (i - 1)
-      (acc lor (Char.code (Bytes.get data (base + i)) lsl (8 * (i - 4))))
-
-(* [k] finalization SipRounds, then the v0^v1^v2^v3 digest. *)
-let rec drounds k v0h v0l v1h v1l v2h v2l v3h v3l =
-  if k = 0 then
-    let h = v0h lxor v1h lxor v2h lxor v3h in
-    let l = v0l lxor v1l lxor v2l lxor v3l in
-    Int64.logor (Int64.shift_left (Int64.of_int h) 32) (Int64.of_int l)
-  else
-    (* v0 += v1 *)
-    let lo = v0l + v1l in
-    let v0l = lo land mask32 in
-    let v0h = (v0h + v1h + (lo lsr 32)) land mask32 in
-    (* v1 = rotl(v1, 13); v1 ^= v0 *)
-    let th = ((v1h lsl 13) lor (v1l lsr 19)) land mask32 lxor v0h in
-    let v1l = ((v1l lsl 13) lor (v1h lsr 19)) land mask32 lxor v0l in
-    let v1h = th in
-    (* v0 = rotl(v0, 32) *)
-    let t = v0h in
-    let v0h = v0l in
-    let v0l = t in
-    (* v2 += v3 *)
-    let lo = v2l + v3l in
-    let v2l = lo land mask32 in
-    let v2h = (v2h + v3h + (lo lsr 32)) land mask32 in
-    (* v3 = rotl(v3, 16); v3 ^= v2 *)
-    let th = ((v3h lsl 16) lor (v3l lsr 16)) land mask32 lxor v2h in
-    let v3l = ((v3l lsl 16) lor (v3h lsr 16)) land mask32 lxor v2l in
-    let v3h = th in
-    (* v0 += v3 *)
-    let lo = v0l + v3l in
-    let v0l = lo land mask32 in
-    let v0h = (v0h + v3h + (lo lsr 32)) land mask32 in
-    (* v3 = rotl(v3, 21); v3 ^= v0 *)
-    let th = ((v3h lsl 21) lor (v3l lsr 11)) land mask32 lxor v0h in
-    let v3l = ((v3l lsl 21) lor (v3h lsr 11)) land mask32 lxor v0l in
-    let v3h = th in
-    (* v2 += v1 *)
-    let lo = v2l + v1l in
-    let v2l = lo land mask32 in
-    let v2h = (v2h + v1h + (lo lsr 32)) land mask32 in
-    (* v1 = rotl(v1, 17); v1 ^= v2 *)
-    let th = ((v1h lsl 17) lor (v1l lsr 15)) land mask32 lxor v2h in
-    let v1l = ((v1l lsl 17) lor (v1h lsr 15)) land mask32 lxor v2l in
-    let v1h = th in
-    (* v2 = rotl(v2, 32) *)
-    let t = v2h in
-    let v2h = v2l in
-    let v2l = t in
-    drounds (k - 1) v0h v0l v1h v1l v2h v2l v3h v3l
-
-(* Compress word [w] (the final length-carrying word when [w = nwords])
-   with two SipRounds, then recurse; past the final word, xor the 0xFF
-   finalization constant into v2 and hand off to [drounds]. *)
-let rec comp data nwords n w v0h v0l v1h v1l v2h v2l v3h v3l =
-  if w > nwords then
-    drounds 4 v0h v0l v1h v1l v2h (v2l lxor 0xFF) v3h v3l
-  else
-    let base = 8 * w in
-    let last = w = nwords in
-    let ml =
-      if last then tail_lo data base (min 3 (n - base - 1)) 0
-      else half data base
-    in
-    let mh =
-      if last then tail_hi data base (n - base - 1) ((n land 0xFF) lsl 24)
-      else half data (base + 4)
-    in
-    (* v3 ^= m *)
-    let v3h = v3h lxor mh in
-    let v3l = v3l lxor ml in
-    (* SipRound 1 *)
-    let lo = v0l + v1l in
-    let v0l = lo land mask32 in
-    let v0h = (v0h + v1h + (lo lsr 32)) land mask32 in
-    let th = ((v1h lsl 13) lor (v1l lsr 19)) land mask32 lxor v0h in
-    let v1l = ((v1l lsl 13) lor (v1h lsr 19)) land mask32 lxor v0l in
-    let v1h = th in
-    let t = v0h in
-    let v0h = v0l in
-    let v0l = t in
-    let lo = v2l + v3l in
-    let v2l = lo land mask32 in
-    let v2h = (v2h + v3h + (lo lsr 32)) land mask32 in
-    let th = ((v3h lsl 16) lor (v3l lsr 16)) land mask32 lxor v2h in
-    let v3l = ((v3l lsl 16) lor (v3h lsr 16)) land mask32 lxor v2l in
-    let v3h = th in
-    let lo = v0l + v3l in
-    let v0l = lo land mask32 in
-    let v0h = (v0h + v3h + (lo lsr 32)) land mask32 in
-    let th = ((v3h lsl 21) lor (v3l lsr 11)) land mask32 lxor v0h in
-    let v3l = ((v3l lsl 21) lor (v3h lsr 11)) land mask32 lxor v0l in
-    let v3h = th in
-    let lo = v2l + v1l in
-    let v2l = lo land mask32 in
-    let v2h = (v2h + v1h + (lo lsr 32)) land mask32 in
-    let th = ((v1h lsl 17) lor (v1l lsr 15)) land mask32 lxor v2h in
-    let v1l = ((v1l lsl 17) lor (v1h lsr 15)) land mask32 lxor v2l in
-    let v1h = th in
-    let t = v2h in
-    let v2h = v2l in
-    let v2l = t in
-    (* SipRound 2 *)
-    let lo = v0l + v1l in
-    let v0l = lo land mask32 in
-    let v0h = (v0h + v1h + (lo lsr 32)) land mask32 in
-    let th = ((v1h lsl 13) lor (v1l lsr 19)) land mask32 lxor v0h in
-    let v1l = ((v1l lsl 13) lor (v1h lsr 19)) land mask32 lxor v0l in
-    let v1h = th in
-    let t = v0h in
-    let v0h = v0l in
-    let v0l = t in
-    let lo = v2l + v3l in
-    let v2l = lo land mask32 in
-    let v2h = (v2h + v3h + (lo lsr 32)) land mask32 in
-    let th = ((v3h lsl 16) lor (v3l lsr 16)) land mask32 lxor v2h in
-    let v3l = ((v3l lsl 16) lor (v3h lsr 16)) land mask32 lxor v2l in
-    let v3h = th in
-    let lo = v0l + v3l in
-    let v0l = lo land mask32 in
-    let v0h = (v0h + v3h + (lo lsr 32)) land mask32 in
-    let th = ((v3h lsl 21) lor (v3l lsr 11)) land mask32 lxor v0h in
-    let v3l = ((v3l lsl 21) lor (v3h lsr 11)) land mask32 lxor v0l in
-    let v3h = th in
-    let lo = v2l + v1l in
-    let v2l = lo land mask32 in
-    let v2h = (v2h + v1h + (lo lsr 32)) land mask32 in
-    let th = ((v1h lsl 17) lor (v1l lsr 15)) land mask32 lxor v2h in
-    let v1l = ((v1l lsl 17) lor (v1h lsr 15)) land mask32 lxor v2l in
-    let v1h = th in
-    let t = v2h in
-    let v2h = v2l in
-    let v2l = t in
-    (* v0 ^= m *)
-    let v0h = v0h lxor mh in
-    let v0l = v0l lxor ml in
-    comp data nwords n (w + 1) v0h v0l v1h v1l v2h v2l v3h v3l
-
-let hash key data =
-  let n = Bytes.length data in
-  comp data (n / 8) n 0
-    (key.k0h lxor 0x736f6d65)
-    (key.k0l lxor 0x70736575)
-    (key.k1h lxor 0x646f7261)
-    (key.k1l lxor 0x6e646f6d)
-    (key.k0h lxor 0x6c796765)
-    (key.k0l lxor 0x6e657261)
-    (key.k1h lxor 0x74656462)
-    (key.k1l lxor 0x79746573)
+external hash : key -> bytes -> (int64[@unboxed])
+  = "sim_siphash_byte" "sim_siphash"
+[@@noalloc]
 
 let hash_string key str = hash key (Bytes.unsafe_of_string str)
 

@@ -2,7 +2,7 @@
     bench "perf" experiment.
 
     Measures real wall-clock time ([Unix.gettimeofday]) and allocation
-    rates ([Gc.allocated_bytes]) — not the simulator's virtual clock —
+    rates ({!alloc_bytes}) — not the simulator's virtual clock —
     for (a) the crypto hot paths against their preserved boxed
     reference implementations, and (b) a fixed-seed workload matrix
     across policies and paging mechanisms.  Writes the stable
@@ -10,6 +10,14 @@
     figures divide by the true VM access count (recorded per cell in
     ["accesses"]); the retired /1 schema divided by ops under the same
     field names. *)
+
+val alloc_bytes : (unit -> 'a) -> 'a * float
+(** [alloc_bytes f] runs [f] and returns its result with the bytes
+    allocated meanwhile on the calling domain: exact minor-heap words
+    plus direct major-heap allocation.  Used instead of
+    [Gc.allocated_bytes], which on OCaml 5.1 counts the uncollected
+    part of the minor heap in words (reading 1/8 of a short window and
+    jumping by 7/8 of the minor heap when a collection falls inside). *)
 
 (** {1 The cell builder}
 

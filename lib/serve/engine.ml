@@ -39,7 +39,7 @@
    is an int code until a defense hook actually needs the [verdict]
    variant — together with the tenants' reusable request thunks and
    ring queues this keeps the served-request path free of per-event
-   allocation (measured by the Gc.allocated_bytes test in
+   allocation (measured by the allocation tests in
    test/test_serve.ml). *)
 
 module Vmm = Hypervisor.Vmm

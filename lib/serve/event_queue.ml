@@ -9,7 +9,7 @@
    payload) rather than an array of entry records: pushes write into
    pre-grown slots and pops read into the two popped_* cells, so the
    steady-state served-request path allocates nothing (see the
-   Gc.allocated_bytes test in test/test_serve.ml). *)
+   allocation tests in test/test_serve.ml). *)
 
 type t = {
   mutable ats : int array;

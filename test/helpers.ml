@@ -64,3 +64,17 @@ let autarky_system ?(epc_frames = 256) ?(epc_limit = 128) ?(enclave_pages = 512)
 
 let legacy_system ?(epc_frames = 256) ?(epc_limit = 128) ?(enclave_pages = 512) () =
   Harness.System.create ~epc_frames ~epc_limit ~enclave_pages ~self_paging:false ()
+
+(* Bytes [f] allocates ({!Harness.Perf.alloc_bytes}), as the minimum
+   over 3 identical runs ([setup] runs before each, unmeasured).
+   Exact counting keeps a minor collection inside the window from
+   showing up as a jump; the minimum also drops one-off work such as a
+   lazy first-use allocation, while a path that really allocates does
+   so in every run. *)
+let min_alloc_bytes ?(setup = ignore) f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    setup ();
+    best := Float.min !best (snd (Harness.Perf.alloc_bytes f))
+  done;
+  !best

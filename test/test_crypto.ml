@@ -292,11 +292,102 @@ let test_oblivious_scan_cost () =
   let c = Sim_crypto.Oblivious.scan_cost m ~entries:100 ~entry_bytes:8 in
   checki "linear in bytes" (int_of_float (m.oblivious_scan_cpb *. 800.0)) c
 
+(* --- Allocation ---------------------------------------------------------- *)
+
+(* Per-call allocation of [f] over 10k calls, minimum of three trials
+   (see {!Helpers.min_alloc_bytes}). *)
+let alloc_per_call f =
+  Helpers.min_alloc_bytes (fun () ->
+      for _ = 1 to 10_000 do
+        f ()
+      done)
+  /. 10_000.0
+
+let payload = Bytes.init !Sgx.Page_data.payload_bytes (fun i -> Char.chr (i * 7 land 0xFF))
+
+let test_xor_stream_allocates_output_only () =
+  (* A 64-byte [bytes] is 80 B on the heap (header, 8 data words, the
+     padding word); the C kernel writes straight into it.  Measured:
+     exactly 80 B per call. *)
+  let a =
+    alloc_per_call (fun () ->
+        ignore (Sim_crypto.Chacha20.xor_stream ~key ~nonce payload))
+  in
+  if a > 80.0 then Alcotest.failf "xor_stream allocated %.1f B per 64 B call" a
+
+let test_seal_allocation_bounded () =
+  (* Ciphertext (80 B) + [sealed] record (40 B) + boxed MAC (24 B) =
+     144 B.  Measured: exactly 144 B per seal of the 64 B payload. *)
+  let a =
+    alloc_per_call (fun () ->
+        ignore (Sim_crypto.Sealer.seal sealer ~vaddr:0x1000L ~version:1L payload))
+  in
+  if a > 144.0 then Alcotest.failf "Sealer.seal allocated %.1f B per 64 B page" a
+
 (* --- QCheck properties ------------------------------------------------ *)
+
+(* Lengths 0-300, with the word and block edges drawn often. *)
+let data_gen =
+  QCheck2.Gen.(
+    bytes_size
+      (frequency
+         [
+           (3, int_range 0 300);
+           (1, oneofl [ 0; 1; 7; 8; 9; 15; 16; 63; 64; 65; 79; 80; 127; 128; 129; 255; 256; 300 ]);
+         ]))
+
+(* Block counters from the bottom of the range and from just below
+   2^32, where a multi-block stream wraps. *)
+let counter_gen =
+  QCheck2.Gen.(
+    map Int32.of_int
+      (frequency [ (1, int_range 0 1_000); (1, map (fun d -> 0xFFFF_FFFF - d) (int_range 0 8)) ]))
+
+let fixed_bytes n = QCheck2.Gen.(bytes_size (return n))
+
+let differential_cases =
+  [
+    QCheck2.Test.make ~name:"chacha xor_stream = Chacha20_ref" ~count:300
+      QCheck2.Gen.(quad (fixed_bytes 32) (fixed_bytes 12) counter_gen data_gen)
+      (fun (key, nonce, counter, data) ->
+        Bytes.equal
+          (Sim_crypto.Chacha20.xor_stream ~key ~counter ~nonce data)
+          (Sim_crypto.Chacha20_ref.xor_stream ~key ~counter ~nonce data));
+    QCheck2.Test.make ~name:"chacha block = Chacha20_ref" ~count:200
+      QCheck2.Gen.(triple (fixed_bytes 32) (fixed_bytes 12) counter_gen)
+      (fun (key, nonce, counter) ->
+        Bytes.equal
+          (Sim_crypto.Chacha20.block ~key ~counter ~nonce)
+          (Sim_crypto.Chacha20_ref.block ~key ~counter ~nonce));
+    QCheck2.Test.make ~name:"siphash = Siphash_ref" ~count:300
+      QCheck2.Gen.(pair (fixed_bytes 16) data_gen)
+      (fun (k, data) ->
+        Sim_crypto.Siphash.hash (Sim_crypto.Siphash.key_of_bytes k) data
+        = Sim_crypto.Siphash_ref.hash (Sim_crypto.Siphash_ref.key_of_bytes k) data);
+    (* Several pages of changing length through one context, so the
+       reused MAC buffer is resized and refilled, never read stale. *)
+    QCheck2.Test.make ~name:"sealer = Sealer_ref, and each unseals the other" ~count:200
+      QCheck2.Gen.(
+        pair (string_size (int_range 1 40))
+          (list_size (int_range 1 4) (triple data_gen int64 int64)))
+      (fun (master_key, pages) ->
+        let s = Sim_crypto.Sealer.create ~master_key in
+        let r = Sim_crypto.Sealer_ref.create ~master_key in
+        List.for_all
+          (fun (page, vaddr, version) ->
+            let a = Sim_crypto.Sealer.seal s ~vaddr ~version page in
+            let b = Sim_crypto.Sealer_ref.seal r ~vaddr ~version page in
+            let opens = function Ok pt -> Bytes.equal pt page | Error _ -> false in
+            Bytes.equal a.ciphertext b.ciphertext
+            && a.mac = b.mac
+            && opens (Sim_crypto.Sealer.unseal s ~vaddr ~expected_version:version b)
+            && opens (Sim_crypto.Sealer_ref.unseal r ~vaddr ~expected_version:version a))
+          pages);
+  ]
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [
+    (differential_cases @ [
       QCheck2.Test.make ~name:"chacha roundtrip on random data" ~count:100
         QCheck2.Gen.(string_size (int_range 0 300))
         (fun s ->
@@ -324,7 +415,7 @@ let qcheck_cases =
           let arr = Array.of_list xs in
           let i = Array.length arr / 2 in
           Sim_crypto.Oblivious.scan_read arr i = arr.(i));
-    ]
+    ])
 
 let suite =
   [
@@ -349,6 +440,8 @@ let suite =
     ("sealer key separation", `Quick, test_sealer_key_separation);
     ("sealer matches reference", `Quick, test_sealer_matches_reference);
     ("sealer batch matches single", `Quick, test_sealer_batch_matches_single);
+    ("xor_stream allocates only its output", `Quick, test_xor_stream_allocates_output_only);
+    ("seal allocation bounded", `Quick, test_seal_allocation_bounded);
     ("oblivious select", `Quick, test_oblivious_select);
     ("oblivious scan read", `Quick, test_oblivious_scan_read);
     ("oblivious scan write", `Quick, test_oblivious_scan_write);

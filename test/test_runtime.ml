@@ -364,11 +364,110 @@ let test_pager_refetched_page_requeues () =
   checkb "refetched page moved to back" true
     (Autarky.Pager.oldest_resident pager = Some arr.(1))
 
+(* The list-based victim pick [Policy_clusters] used before its ring
+   walk, kept as the oracle: take the 64 FIFO-oldest residents as a
+   list, then the first whose evict set avoids [fetching]. *)
+let oracle_victims pager clusters ~fetching =
+  let rec pick = function
+    | [] -> []
+    | vp :: rest ->
+      let set = Autarky.Clusters.evict_set clusters vp in
+      if List.exists (fun p -> List.mem p fetching) set then pick rest
+      else List.filter (Autarky.Pager.resident pager) set
+  in
+  pick (Autarky.Pager.oldest_residents pager 64)
+
+(* Random cluster layouts (pages shared between clusters, pages in no
+   cluster) and random fetch/evict sequences over 120 pages with a
+   100-page budget, so the ring holds more than the 64 candidates;
+   after each step both picks run against a random fetch set. *)
+let victims_match_oracle (n_clusters, memberships, ops) =
+  let sys =
+    Harness.System.create ~epc_frames:256 ~epc_limit:128 ~enclave_pages:512
+      ~self_paging:true ~budget:100 ()
+  in
+  let rt = Harness.System.runtime_exn sys in
+  let pager = Autarky.Runtime.pager rt in
+  let pages = Array.of_list (cold_region sys 120) in
+  Harness.System.manage sys (Array.to_list pages);
+  let clusters = Autarky.Clusters.create () in
+  let ids = Array.init n_clusters (fun _ -> Autarky.Clusters.new_cluster clusters ()) in
+  List.iter
+    (fun (p, c) ->
+      Autarky.Clusters.ay_add_page clusters ~cluster:ids.(c mod n_clusters) pages.(p))
+    memberships;
+  let pc = Autarky.Policy_clusters.create ~runtime:rt ~clusters in
+  List.for_all
+    (fun (fetch, first, len, fetching) ->
+      let batch = List.init len (fun i -> pages.((first + i) mod 120)) in
+      (if fetch then begin
+         let need () =
+           List.length (List.filter (fun p -> not (Autarky.Pager.resident pager p)) batch)
+         in
+         (* Evicting may hit pages of [batch], so recount each round. *)
+         while Autarky.Pager.resident_count pager + need () > 100 do
+           match Autarky.Pager.oldest_resident pager with
+           | Some vp -> Autarky.Pager.evict pager [ vp ]
+           | None -> assert false
+         done;
+         Autarky.Pager.fetch pager batch
+       end
+       else Autarky.Pager.evict pager batch);
+      (* A window of up to 110 pages makes most candidates overlap, so
+         the walk often has to go deep into (and past) the 64. *)
+      let fetching =
+        let start, span, scattered = fetching in
+        List.init span (fun i -> pages.((start + i) mod 120))
+        @ List.map (fun i -> pages.(i)) scattered
+      in
+      Autarky.Policy_clusters.choose_victims pc ~fetching ()
+      = oracle_victims pager clusters ~fetching)
+    ops
+
+let test_cluster_victims_see_64_candidates () =
+  (* 70 unclustered residents fetched in order: with the oldest 64 all
+     in the fetch set the pick is empty; with the oldest 63, it is the
+     64th. *)
+  let sys =
+    Harness.System.create ~epc_frames:256 ~epc_limit:128 ~enclave_pages:512
+      ~self_paging:true ~budget:100 ()
+  in
+  let rt = Harness.System.runtime_exn sys in
+  let pager = Autarky.Runtime.pager rt in
+  let pages = cold_region sys 70 in
+  Harness.System.manage sys pages;
+  List.iter (fun p -> Autarky.Pager.fetch pager [ p ]) pages;
+  let pc =
+    Autarky.Policy_clusters.create ~runtime:rt ~clusters:(Autarky.Clusters.create ())
+  in
+  let oldest n = List.filteri (fun i _ -> i < n) pages in
+  Alcotest.(check (list int)) "none of the 64 qualifies" []
+    (Autarky.Policy_clusters.choose_victims pc ~fetching:(oldest 64) ());
+  Alcotest.(check (list int)) "the 64th qualifies" [ List.nth pages 63 ]
+    (Autarky.Policy_clusters.choose_victims pc ~fetching:(oldest 63) ())
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck2.Test.make ~name:"cluster victim walk matches the list oracle"
+        ~count:200
+        QCheck2.Gen.(
+          triple (int_range 1 12)
+            (list_size (int_range 0 150) (pair (int_range 0 119) (int_range 0 11)))
+            (list_size (int_range 1 60)
+               (quad (frequency [ (3, return true); (1, return false) ])
+                  (int_range 0 119) (int_range 1 12)
+                  (triple (int_range 0 119) (int_range 0 110)
+                     (list_size (int_range 0 8) (int_range 0 119))))))
+        victims_match_oracle;
+    ]
+
 let suite =
   [
     ("pager fetch/evict (SGXv1)", `Quick, test_pager_fetch_evict_sgx1);
     ("pager refetched page requeues", `Quick, test_pager_refetched_page_requeues);
     ("cluster victims avoid fetch set", `Quick, test_cluster_victims_avoid_fetch_set);
+    ("cluster victims see 64 candidates", `Quick, test_cluster_victims_see_64_candidates);
     ("pager fetch/evict (SGXv2)", `Quick, test_pager_fetch_evict_sgx2);
     ("pager SGXv2 replay detected", `Quick, test_pager_sgx2_replay_detected);
     ("pager budget enforced", `Quick, test_pager_budget_enforced);
@@ -388,3 +487,4 @@ let suite =
     ("cluster policy invariant under pressure", `Quick,
      test_cluster_policy_preserves_invariant_under_pressure);
   ]
+  @ qcheck_cases

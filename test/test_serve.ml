@@ -246,47 +246,52 @@ let test_ring_fifo () =
 (* --- allocation-free hot paths ----------------------------------------- *)
 
 (* Steady-state push/pop on the int-packed structures must not allocate:
-   warm the structure past any growth, then measure a long churn. *)
+   warm the structure past any growth, then measure a long churn.  Each
+   window is the minimum over three identical 10k-op trials
+   ({!Helpers.min_alloc_bytes}). *)
 let test_hot_paths_allocation_free () =
   let q = Serve.Event_queue.create () in
-  (* Warm the backing array to its steady-state depth first: growth is
-     the only allowed allocation. *)
-  for i = 1 to 1_024 do Serve.Event_queue.push q ~at:i i done;
-  let a0 = Gc.allocated_bytes () in
-  for i = 1 to 10_000 do
-    ignore (Serve.Event_queue.pop q);
-    Serve.Event_queue.push q ~at:(1_024 + i) i
-  done;
-  while Serve.Event_queue.pop q do () done;
-  let a1 = Gc.allocated_bytes () in
-  if a1 -. a0 > 128.0 then
-    Alcotest.failf "event queue allocated %.0f bytes over 10k ops" (a1 -. a0);
+  (* Refill the backing array to its steady-state depth before each
+     trial: growth is the only allowed allocation. *)
+  let fill () = for i = 1 to 1_024 do Serve.Event_queue.push q ~at:i i done in
+  let a =
+    Helpers.min_alloc_bytes ~setup:fill (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Serve.Event_queue.pop q);
+          Serve.Event_queue.push q ~at:(1_024 + i) i
+        done;
+        while Serve.Event_queue.pop q do () done)
+  in
+  if a > 128.0 then
+    Alcotest.failf "event queue allocated %.0f bytes over 10k ops" a;
   let r = Serve.Ring.create ~capacity:64 in
-  let b0 = Gc.allocated_bytes () in
-  for i = 1 to 10_000 do
-    Serve.Ring.push r i;
-    ignore (Serve.Ring.pop r)
-  done;
-  let b1 = Gc.allocated_bytes () in
-  if b1 -. b0 > 128.0 then
-    Alcotest.failf "ring allocated %.0f bytes over 10k ops" (b1 -. b0);
+  let b =
+    Helpers.min_alloc_bytes (fun () ->
+        for i = 1 to 10_000 do
+          Serve.Ring.push r i;
+          ignore (Serve.Ring.pop r)
+        done)
+  in
+  if b > 128.0 then Alcotest.failf "ring allocated %.0f bytes over 10k ops" b;
   let sk = Metrics.Sketch.create () in
   Metrics.Sketch.add_int sk 1;
-  let c0 = Gc.allocated_bytes () in
-  for i = 1 to 10_000 do Metrics.Sketch.add_int sk (i * 97) done;
-  let c1 = Gc.allocated_bytes () in
-  if c1 -. c0 > 128.0 then
-    Alcotest.failf "sketch add_int allocated %.0f bytes over 10k ops" (c1 -. c0)
+  let c =
+    Helpers.min_alloc_bytes (fun () ->
+        for i = 1 to 10_000 do Metrics.Sketch.add_int sk (i * 97) done)
+  in
+  if c > 128.0 then
+    Alcotest.failf "sketch add_int allocated %.0f bytes over 10k ops" c
 
 (* Per-served-request allocation of the whole engine loop, measured
    differentially (two runs of the same scenario, different request
    counts) so boot/calibration/report costs cancel out.  The measured
-   value (~9.1 kB/request) is dominated by the simulated enclave
+   value (~6.0 kB/request) is dominated by the simulated enclave
    workload body — kvstore hashing and MMU walks allocate on their own
    account; the serving machinery around it (event queue, admission
    ring, sketch) contributes zero, as the preceding test shows.  The
-   bound exists to catch regressions that reintroduce per-event boxing
-   in the engine loop on top of that floor. *)
+   8,000 B bound (about 1.3x the measured value) exists to catch
+   regressions that reintroduce per-event boxing in the engine loop on
+   top of that floor. *)
 let test_request_path_allocation_bounded () =
   let run requests =
     let cfgs =
@@ -295,15 +300,13 @@ let test_request_path_allocation_bounded () =
     let params =
       { (params ()) with Serve.Engine.p_trace = false; p_sketch = true }
     in
-    let a0 = Gc.allocated_bytes () in
-    ignore (run_scenario ~params cfgs);
-    Gc.allocated_bytes () -. a0
+    Helpers.min_alloc_bytes (fun () -> ignore (run_scenario ~params cfgs))
   in
   ignore (run 50);  (* warm any lazy initialisation *)
   let small = run 200 in
   let large = run 1_000 in
   let per_request = (large -. small) /. 800.0 in
-  if per_request > 12_000.0 then
+  if per_request > 8_000.0 then
     Alcotest.failf "served-request path allocates %.0f bytes/request"
       per_request
 
