@@ -2,21 +2,12 @@
    fleet with the escalation controller in place, reporting p99 / shed /
    bits leaked before, during and after each wave plus the controller's
    decision timeline.  Writes BENCH_defense.json (schema
-   autarky-defense/1) in the current directory — the committed baseline
-   lives at the repository root.  Only the "wall" block depends on the
-   machine; everything else is byte-identical at any --jobs. *)
+   autarky-defense/2) in the current directory — the committed baseline
+   lives at the repository root.  Same run and writer as
+   `autarky_sim defend`: byte-identical at any --jobs. *)
 
 let run () =
   print_endline "== defense: SLO-under-attack, waves x policy ladders ==";
-  let jobs = Par.get_jobs () in
-  let t0 = Unix.gettimeofday () in
-  let cells = Defense.Defend.run ~quick:false ~seed:42 ~jobs () in
-  let matrix_s = Unix.gettimeofday () -. t0 in
+  let cells = Defense.Defend.run ~quick:false ~seed:42 ~jobs:(Par.get_jobs ()) () in
   Defense.Defend.print_table cells;
-  let json =
-    Defense.Defend.to_json ~wall:(jobs, matrix_s) ~quick:false ~seed:42 cells
-  in
-  Out_channel.with_open_bin "BENCH_defense.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote      : BENCH_defense.json (%d cells)\n%!"
-    (List.length cells)
+  Defense.Defend.write ~out:"BENCH_defense.json" ~quick:false ~seed:42 cells

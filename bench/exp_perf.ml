@@ -1,6 +1,6 @@
 (* Performance-regression harness: crypto microbenchmarks (optimized
    vs boxed reference) plus the fixed-seed workload matrix.  Writes
-   BENCH_perf.json (schema autarky-perf/1) in the current directory —
+   BENCH_perf.json (schema autarky-perf/2) in the current directory —
    the committed baseline lives at the repository root. *)
 
 let run () =

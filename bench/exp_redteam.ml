@@ -1,7 +1,8 @@
 (* Red-team scoreboard: every adversary against every policy x SGX
    version, scored in bits leaked (§5.2.3).  Writes BENCH_redteam.json
    (schema autarky-redteam/1) in the current directory — the committed
-   baseline lives at the repository root. *)
+   baseline lives at the repository root.  Same run and writer as
+   `autarky_sim redteam`. *)
 
 let run () =
   print_endline "== redteam: adversary suite, bits-leaked scoreboard ==";
@@ -9,8 +10,4 @@ let run () =
     Redteam.Scoreboard.run ~quick:false ~seed:42 ~jobs:(Par.get_jobs ()) ()
   in
   Redteam.Scoreboard.print_table cells;
-  let json = Redteam.Scoreboard.to_json ~quick:false ~seed:42 cells in
-  Out_channel.with_open_bin "BENCH_redteam.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote      : BENCH_redteam.json (%d cells)\n%!"
-    (List.length cells)
+  Redteam.Scoreboard.write ~out:"BENCH_redteam.json" ~quick:false ~seed:42 cells

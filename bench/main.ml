@@ -18,7 +18,6 @@ let experiments =
     ("fig8", "Figure 8: Memcached, four distributions x four schemes", Exp_fig8.run);
     ("attacks", "§7.3 security: published attacks, legacy vs Autarky",
      Exp_attacks.run);
-    ("micro", "bechamel microbenchmarks of core primitives", Exp_micro.run);
     ("ablation", "design-choice sweeps (batch size, cache size, check cost, write-back)",
      Exp_ablation.run);
     ("perf", "perf-regression harness: crypto micro + workload matrix \

@@ -93,6 +93,12 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
+(* The report file: [--out], else the committed baseline in full mode,
+   else none. *)
+let report_out ~quick ~baseline = function
+  | Some f -> Some f
+  | None -> if quick then None else Some baseline
+
 (* --- run ---------------------------------------------------------------- *)
 
 type workload_instance = {
@@ -578,12 +584,7 @@ let perf_cmd =
       then
         exit 1
     | None ->
-      let out =
-        match (out, quick) with
-        | Some f, _ -> Some f
-        | None, false -> Some "BENCH_perf.json"
-        | None, true -> None
-      in
+      let out = report_out ~quick ~baseline:"BENCH_perf.json" out in
       ignore (Harness.Perf.run ~quick ~seed ~jobs ?out ())
   in
   Cmd.v (Cmd.info "perf" ~doc)
@@ -657,12 +658,7 @@ let serve_cmd =
     | Some baseline, _ ->
       if not (Serve.Driver.check ~baseline ~tolerance ()) then exit 1
     | None, Some n ->
-      let out =
-        match (out, quick) with
-        | Some f, _ -> Some f
-        | None, false -> Some "BENCH_serve.json"
-        | None, true -> None
-      in
+      let out = report_out ~quick ~baseline:"BENCH_serve.json" out in
       ignore
         (Serve.Driver.run ~quick ~seed ~no_arbiter ?out
            ~scenario:(Serve.Driver.Fleet n) ())
@@ -683,15 +679,24 @@ let serve_cmd =
 
 let bench_validate_cmd =
   let doc =
-    "Validate committed benchmark reports against the schema registry: \
-     every file must carry a known \"schema\" string and every required \
-     field and row key that schema declares.  Catches writers drifting \
-     from their declared schema before a --check gate misreads the \
-     baseline.  With no FILES, validates every BENCH_*.json in the \
-     current directory."
+    "Validate benchmark reports against the schemas their writers \
+     declare (perf, serve, redteam, defense): every file must carry a \
+     known \"schema\" string and every required field, row key and \
+     nested key that schema declares, with its JSON shape.  Catches a \
+     stale or hand-edited baseline before a --check gate misreads it.  \
+     With no FILES, validates every BENCH_*.json in the current \
+     directory."
   in
   let files_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"FILES")
+  in
+  let specs =
+    [
+      Harness.Perf.spec;
+      Serve.Driver.spec;
+      Redteam.Scoreboard.spec;
+      Defense.Defend.spec;
+    ]
   in
   let run files =
     let files =
@@ -713,7 +718,7 @@ let bench_validate_cmd =
     let failed = ref false in
     List.iter
       (fun f ->
-        match Harness.Schema.validate_file f with
+        match Harness.Schema.validate_file specs f with
         | Ok () -> Printf.printf "bench-validate: %s ok\n" f
         | Error es ->
           failed := true;
@@ -820,19 +825,10 @@ let redteam_cmd =
           ()
       in
       Redteam.Scoreboard.print_table cells;
-      let out =
-        match (out, quick) with
-        | Some f, _ -> Some f
-        | None, false -> Some "BENCH_redteam.json"
-        | None, true -> None
-      in
-      match out with
-      | None -> ()
-      | Some file ->
-        let json = Redteam.Scoreboard.to_json ~quick ~seed cells in
-        Out_channel.with_open_bin file (fun oc ->
-            Out_channel.output_string oc json);
-        Printf.printf "wrote      : %s (%d cells)\n" file (List.length cells)
+      let out = report_out ~quick ~baseline:"BENCH_redteam.json" out in
+      Option.iter
+        (fun out -> Redteam.Scoreboard.write ~out ~quick ~seed cells)
+        out
     end
   in
   Cmd.v (Cmd.info "redteam" ~doc)
@@ -877,9 +873,9 @@ let defend_cmd =
   in
   let out_arg =
     let doc =
-      "Write the autarky-defense/1 JSON report to $(docv).  Defaults to \
-       BENCH_defense.json in full mode, no file in quick mode.  Apart from \
-       the informational $(b,wall) block, the file is byte-identical at any \
+      "Write the autarky-defense/2 JSON report to $(docv).  Defaults to \
+       BENCH_defense.json in full mode, no file in quick mode.  The file \
+       contains no wall-clock fields: it is byte-identical at any \
        $(b,--jobs)."
     in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~doc ~docv:"FILE")
@@ -935,19 +931,8 @@ let defend_cmd =
         Defense.Defend.run ~quick ?adversaries ?ladder_filter ~seed ~jobs ()
       in
       Defense.Defend.print_table cells;
-      let out =
-        match (out, quick) with
-        | Some f, _ -> Some f
-        | None, false -> Some "BENCH_defense.json"
-        | None, true -> None
-      in
-      match out with
-      | None -> ()
-      | Some file ->
-        let json = Defense.Defend.to_json ~quick ~seed cells in
-        Out_channel.with_open_bin file (fun oc ->
-            Out_channel.output_string oc json);
-        Printf.printf "wrote      : %s (%d cells)\n" file (List.length cells)
+      let out = report_out ~quick ~baseline:"BENCH_defense.json" out in
+      Option.iter (fun out -> Defense.Defend.write ~out ~quick ~seed cells) out
     end
   in
   Cmd.v (Cmd.info "defend" ~doc)

@@ -295,100 +295,71 @@ let run ?(quick = false) ?(adversaries = Waves.all) ?(ladder_filter = ladder_nam
         ~seed:(Parallel.Pool.shard_seed ~root:seed ~shard:idx))
     tasks
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let f6 key get = Harness.Schema.fixed ~decimals:6 key get
 
-let to_json ?wall ~quick ~seed cells =
-  let b = Buffer.create 16_384 in
-  let f = Printf.sprintf "%.6f" in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"autarky-defense/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" seed);
-  (match wall with
-  | Some (jobs, secs) ->
-    Buffer.add_string b
-      (Printf.sprintf "  \"wall\": {\"jobs\": %d, \"matrix_s\": %.2f},\n" jobs
-         secs)
-  | None -> ());
-  Buffer.add_string b "  \"cells\": [\n";
-  let last = List.length cells - 1 in
-  List.iteri
-    (fun i c ->
-      let from_, until = c.dl_window in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"adversary\": \"%s\", \"ladder\": \"%s\", \"victim\": \
-            \"%s\", \"requests\": %d, \"wave_from\": %d, \"wave_until\": %d, \
-            \"ticks\": %d, \"escalations\": %d, \"de_escalations\": %d, \
-            \"failed_switches\": %d, \"policy_switches\": %d, \
-            \"final_policy\": \"%s\", \"victim_refused\": %b, \
-            \"bits_observed\": %s, \"bits_terminations\": %s, \"probes\": \
-            %d, \"digest\": \"%s\",\n"
-           (json_escape c.dl_adversary)
-           (json_escape c.dl_ladder)
-           (json_escape c.dl_victim)
-           c.dl_requests from_ until c.dl_ticks c.dl_escalations
-           c.dl_de_escalations c.dl_failed_switches c.dl_policy_switches
-           (json_escape c.dl_final_policy)
-           c.dl_victim_refused
-           (f c.dl_bits_observed)
-           (f c.dl_bits_terminations)
-           c.dl_probes
-           (json_escape (Option.value c.dl_digest ~default:"")));
-      Buffer.add_string b "     \"phases\": [";
-      let plast = List.length c.dl_phases - 1 in
-      List.iteri
-        (fun j p ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"phase\": \"%s\", \"arrivals\": %d, \"served\": %d, \
-                \"shed\": %d, \"missed\": %d, \"terminations\": %d, \
-                \"restarts\": %d, \"samples\": %d, \"mean_cycles\": %s, \
-                \"p99_cycles\": %s, \"bits_observed\": %s, \
-                \"bits_terminations\": %s}%s"
-               p.pr_phase p.pr_arrivals p.pr_served p.pr_shed p.pr_missed
-               p.pr_terminations p.pr_restarts p.pr_samples (f p.pr_mean)
-               (f p.pr_p99) (f p.pr_bits_observed)
-               (f p.pr_bits_terminations)
-               (if j = plast then "" else ", ")))
-        c.dl_phases;
-      Buffer.add_string b "],\n";
-      Buffer.add_string b "     \"timeline\": [";
-      let tlast = List.length c.dl_timeline - 1 in
-      List.iteri
-        (fun j (e : Controller.event) ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"at\": %d, \"tenant\": \"%s\", \"verdict\": \"%s\", \
-                \"from\": \"%s\", \"to\": \"%s\", \"rung\": %d, \"note\": \
-                \"%s\"}%s"
-               e.Controller.ev_at
-               (json_escape e.Controller.ev_tenant)
-               (Controller.verdict_name e.Controller.ev_verdict)
-               (Harness.Policy.name e.Controller.ev_from)
-               (Harness.Policy.name e.Controller.ev_to)
-               e.Controller.ev_rung
-               (json_escape e.Controller.ev_note)
-               (if j = tlast then "" else ", ")))
-        c.dl_timeline;
-      Buffer.add_string b "]}";
-      Buffer.add_string b (if i = last then "\n" else ",\n"))
-    cells;
-  Buffer.add_string b "  ]\n";
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+(* /2: the writer-side "wall" block is gone, so the file is the same at
+   any --jobs and on any machine. *)
+let report_decl =
+  Harness.Schema.(
+    report ~schema:"autarky-defense/2"
+      [
+        bool "quick" (fun (quick, _, _) -> quick);
+        int "seed" (fun (_, seed, _) -> seed);
+        rows "cells" (fun (_, _, cells) -> cells)
+          [
+            str "adversary" (fun c -> c.dl_adversary);
+            str "ladder" (fun c -> c.dl_ladder);
+            str "victim" (fun c -> c.dl_victim);
+            int "requests" (fun c -> c.dl_requests);
+            int "wave_from" (fun c -> fst c.dl_window);
+            int "wave_until" (fun c -> snd c.dl_window);
+            int "ticks" (fun c -> c.dl_ticks);
+            int "escalations" (fun c -> c.dl_escalations);
+            int "de_escalations" (fun c -> c.dl_de_escalations);
+            int "failed_switches" (fun c -> c.dl_failed_switches);
+            int "policy_switches" (fun c -> c.dl_policy_switches);
+            str "final_policy" (fun c -> c.dl_final_policy);
+            bool "victim_refused" (fun c -> c.dl_victim_refused);
+            f6 "bits_observed" (fun c -> c.dl_bits_observed);
+            f6 "bits_terminations" (fun c -> c.dl_bits_terminations);
+            int "probes" (fun c -> c.dl_probes);
+            str "digest" (fun c -> Option.value c.dl_digest ~default:"");
+            rows "phases" (fun c -> c.dl_phases)
+              [
+                str "phase" (fun p -> p.pr_phase);
+                int "arrivals" (fun p -> p.pr_arrivals);
+                int "served" (fun p -> p.pr_served);
+                int "shed" (fun p -> p.pr_shed);
+                int "missed" (fun p -> p.pr_missed);
+                int "terminations" (fun p -> p.pr_terminations);
+                int "restarts" (fun p -> p.pr_restarts);
+                int "samples" (fun p -> p.pr_samples);
+                f6 "mean_cycles" (fun p -> p.pr_mean);
+                f6 "p99_cycles" (fun p -> p.pr_p99);
+                f6 "bits_observed" (fun p -> p.pr_bits_observed);
+                f6 "bits_terminations" (fun p -> p.pr_bits_terminations);
+              ];
+            rows "timeline" (fun c -> c.dl_timeline)
+              [
+                int "at" (fun (e : Controller.event) -> e.ev_at);
+                str "tenant" (fun (e : Controller.event) -> e.ev_tenant);
+                str "verdict" (fun (e : Controller.event) ->
+                    Controller.verdict_name e.ev_verdict);
+                str "from" (fun (e : Controller.event) ->
+                    Harness.Policy.name e.ev_from);
+                str "to" (fun (e : Controller.event) -> Harness.Policy.name e.ev_to);
+                int "rung" (fun (e : Controller.event) -> e.ev_rung);
+                str "note" (fun (e : Controller.event) -> e.ev_note);
+              ];
+          ];
+      ])
+
+let spec = Harness.Schema.spec report_decl
+let to_json ~quick ~seed cells = Harness.Schema.to_json report_decl (quick, seed, cells)
+
+let write ~out ~quick ~seed cells =
+  Harness.Microjson.to_file out (to_json ~quick ~seed cells);
+  Printf.printf "wrote      : %s (%d cells)\n%!" out (List.length cells)
 
 let print_table cells =
   Printf.printf "  %-13s %-10s %4s %5s %5s %-10s %11s %11s %6s\n" "adversary"

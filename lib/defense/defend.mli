@@ -62,8 +62,15 @@ val run :
   ?quick:bool -> ?adversaries:Waves.kind list -> ?ladder_filter:string list ->
   seed:int -> jobs:int -> unit -> cell list
 
-val to_json : ?wall:int * float -> quick:bool -> seed:int -> cell list -> string
-(** Schema ["autarky-defense/1"].  [wall] is [(jobs, matrix_seconds)] —
-    informational metadata, never part of any gated comparison. *)
+val spec : Harness.Schema.spec
+(** The ["autarky-defense/2"] schema, derived from the report's one field
+    declaration. *)
+
+val to_json : quick:bool -> seed:int -> cell list -> Harness.Microjson.t
+(** The ["autarky-defense/2"] document.  Contains no wall-clock or
+    worker-count fields: byte-identical output at any [jobs]. *)
+
+val write : out:string -> quick:bool -> seed:int -> cell list -> unit
+(** Write {!to_json} to the file [out] and say so on stdout. *)
 
 val print_table : cell list -> unit

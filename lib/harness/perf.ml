@@ -14,7 +14,7 @@
      ({!alloc_bytes}) and modeled cycles per access.
 
    Wall-clock numbers vary run to run; the JSON schema
-   ("autarky-perf/1") is stable so downstream tooling can diff fields
+   ("autarky-perf/2") is stable so downstream tooling can diff fields
    across commits. *)
 
 type micro_row = {
@@ -271,67 +271,48 @@ let matrix_section ~quick ~seed ~jobs =
 
 (* --- JSON ------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let f2 key get = Schema.fixed ~decimals:2 key get
 
-let to_json r =
-  let b = Buffer.create 4_096 in
-  let f = Printf.sprintf "%.2f" in
-  Buffer.add_string b "{\n";
-  (* /2: per-access figures divide by true VM accesses (an "accesses"
-     field records the divisor); /1 divided by ops under the same
-     field names. *)
-  Buffer.add_string b "  \"schema\": \"autarky-perf/2\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" r.r_quick);
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.r_seed);
-  Buffer.add_string b (Printf.sprintf "  \"page_bytes\": %d,\n" page_bytes);
-  (* Wall metadata lives in one clearly-named object: everything under
-     "wall" (plus the *wall* per-row fields) is machine-dependent and
-     excluded from determinism/regression comparison. *)
-  Buffer.add_string b
-    (Printf.sprintf "  \"wall\": {\"jobs\": %d, \"matrix_s\": %s},\n" r.r_jobs
-       (f r.r_matrix_wall_s));
-  Buffer.add_string b "  \"micro\": [\n";
-  List.iteri
-    (fun i m ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"iters\": %d, \"new_wall_ns_per_op\": %s, \
-            \"new_alloc_bytes_per_op\": %s, \"ref_wall_ns_per_op\": %s, \
-            \"ref_alloc_bytes_per_op\": %s, \"speedup_wall\": %s}%s\n"
-           (json_escape m.mi_name) m.mi_iters (f m.mi_new_ns) (f m.mi_new_alloc)
-           (f m.mi_ref_ns) (f m.mi_ref_alloc)
-           (f (speedup m))
-           (if i = List.length r.r_micro - 1 then "" else ",")))
-    r.r_micro;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"matrix\": [\n";
-  List.iteri
-    (fun i m ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"workload\": \"%s\", \"policy\": \"%s\", \"mech\": \"%s\", \
-            \"ops\": %d, \"accesses\": %d, \"wall_ns_per_access\": %s, \
-            \"alloc_bytes_per_access\": %s, \"modeled_cycles_per_access\": %s, \
-            \"page_faults\": %d}%s\n"
-           (json_escape m.mx_workload) (json_escape m.mx_policy)
-           (json_escape m.mx_mech) m.mx_ops m.mx_accesses (f m.mx_wall_ns)
-           (f m.mx_alloc) (f m.mx_cycles) m.mx_faults
-           (if i = List.length r.r_matrix - 1 then "" else ",")))
-    r.r_matrix;
-  Buffer.add_string b "  ]\n";
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+(* /2: per-access figures divide by true VM accesses (an "accesses"
+   field records the divisor); /1 divided by ops under the same field
+   names.  Wall metadata lives in one clearly-named object: everything
+   under "wall" (plus the *wall* per-row fields) is machine-dependent
+   and excluded from determinism/regression comparison. *)
+let report_decl =
+  Schema.(
+    report ~schema:"autarky-perf/2"
+      [
+        bool "quick" (fun r -> r.r_quick);
+        int "seed" (fun r -> r.r_seed);
+        int "page_bytes" (fun _ -> page_bytes);
+        obj "wall" Fun.id
+          [ int "jobs" (fun r -> r.r_jobs); f2 "matrix_s" (fun r -> r.r_matrix_wall_s) ];
+        rows "micro" (fun r -> r.r_micro)
+          [
+            str "name" (fun m -> m.mi_name);
+            int "iters" (fun m -> m.mi_iters);
+            f2 "new_wall_ns_per_op" (fun m -> m.mi_new_ns);
+            f2 "new_alloc_bytes_per_op" (fun m -> m.mi_new_alloc);
+            f2 "ref_wall_ns_per_op" (fun m -> m.mi_ref_ns);
+            f2 "ref_alloc_bytes_per_op" (fun m -> m.mi_ref_alloc);
+            f2 "speedup_wall" speedup;
+          ];
+        rows "matrix" (fun r -> r.r_matrix)
+          [
+            str "workload" (fun m -> m.mx_workload);
+            str "policy" (fun m -> m.mx_policy);
+            str "mech" (fun m -> m.mx_mech);
+            int "ops" (fun m -> m.mx_ops);
+            int "accesses" (fun m -> m.mx_accesses);
+            f2 "wall_ns_per_access" (fun m -> m.mx_wall_ns);
+            f2 "alloc_bytes_per_access" (fun m -> m.mx_alloc);
+            f2 "modeled_cycles_per_access" (fun m -> m.mx_cycles);
+            int "page_faults" (fun m -> m.mx_faults);
+          ];
+      ])
+
+let spec = Schema.spec report_decl
+let to_json r = Schema.to_json report_decl r
 
 (* --- driver ----------------------------------------------------------- *)
 
@@ -375,9 +356,7 @@ let run ?(quick = false) ?(seed = 42) ?(jobs = 1) ?out () =
   (match out with
   | None -> ()
   | Some file ->
-    let oc = open_out file in
-    output_string oc (to_json r);
-    close_out oc;
+    Microjson.to_file file (to_json r);
     Printf.printf "perf: wrote %s\n" file);
   r
 
@@ -453,10 +432,10 @@ let check ~baseline ?against ?(tolerance = 0.25) ?wall_ceiling_ns ?alloc_ceiling
           r_matrix = matrix_section ~quick ~seed ~jobs;
         }
       in
-      (* Through the same writer and reader as the baseline, so both
-         sides carry the JSON's rounding. *)
+      (* Through the report value, so both sides carry the JSON's
+         rounding. *)
       let ctx = "this run" in
-      (gate_cells_of_json ~ctx (Microjson.of_string (to_json r)), ctx)
+      (gate_cells_of_json ~ctx (to_json r), ctx)
   in
   let assoc cells = List.map (fun c -> (c.g_key, c)) cells in
   let base_a = assoc base and cur_a = assoc cur in

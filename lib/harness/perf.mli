@@ -94,8 +94,12 @@ type report = {
   r_matrix : matrix_row list;
 }
 
-val to_json : report -> string
-(** Render the stable ["autarky-perf/2"] schema.  Determinism contract:
+val spec : Schema.spec
+(** The ["autarky-perf/2"] schema, derived from the report's one field
+    declaration. *)
+
+val to_json : report -> Microjson.t
+(** The stable ["autarky-perf/2"] report value.  Determinism contract:
     everything except the ["wall"] metadata object and the per-row
     wall/alloc fields is a pure function of (quick, seed) — independent
     of [jobs], the machine, and the run.  (Matrix alloc rates are

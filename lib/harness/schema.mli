@@ -1,37 +1,66 @@
-(** Shape validation for the repo's committed benchmark reports
-    ([BENCH_*.json]).
+(** Report declarations and shape validation for the repo's benchmark
+    reports ([BENCH_*.json]).
 
-    Every report writer in the tree stamps a ["schema"] field
-    (["autarky-perf/2"], ["autarky-serve/2"], ...).  This module holds
-    the registry of known schemas — which top-level fields each must
-    carry, with what JSON shape, and which keys every row of its array
-    fields must have — and validates a parsed document against it.
+    A report module declares each field once: its key, its JSON shape
+    and how to read it from the report record.  {!to_json} builds the
+    report value from that declaration and {!spec} derives the shape
+    [bench-validate] checks committed files against, so a writer cannot
+    drift from its schema.  Validation is shape-only; semantic
+    invariants (arrival conservation, drift tolerances) belong to the
+    [--check] gates. *)
 
-    The CI [bench-validate] step runs {!validate_file} over every
-    committed baseline: a writer that drifts from its declared schema
-    (renamed field, missing row key, unregistered schema string) fails
-    the gate before any consumer trips over the file.  Validation is
-    shape-only; semantic invariants (arrival conservation, drift
-    tolerances) belong to the [--check] gates. *)
+(** The JSON shape of a field.  [Obj keys] is an object holding every
+    key in [keys]; [Rows keys] an array of such objects.  Extra keys are
+    allowed: adding a column is not a schema break; removing one is. *)
+type shape =
+  | Bool
+  | Num
+  | Str
+  | Obj of (string * shape) list
+  | Rows of (string * shape) list
 
-(** Expected shape of a required field.  [Rows keys] is an array of
-    objects, each of which must contain every key in [keys] (extra keys
-    are allowed — adding a column is not a schema break; removing one
-    is). *)
-type field_kind = Bool | Num | Str | Obj | Rows of string list
+type 'a field
+(** One key of an object built from an ['a]. *)
 
-type spec = { required : (string * field_kind) list }
+val bool : string -> ('a -> bool) -> 'a field
+val int : string -> ('a -> int) -> 'a field
+val fixed : decimals:int -> string -> ('a -> float) -> 'a field
+(** A number printed with [decimals] places ({!Microjson.fixed}). *)
 
-val known : (string * spec) list
-(** The registry, keyed by the exact ["schema"] string. *)
+val str : string -> ('a -> string) -> 'a field
 
-val validate : ctx:string -> Microjson.t -> (unit, string list) result
-(** Check one parsed document: the ["schema"] field must name a
-    registered schema and every required field must be present with the
-    declared shape.  [ctx] prefixes the error messages (normally the
-    file name).  [Error] collects every violation, not just the
-    first. *)
+val str_opt : string -> ('a -> string option) -> 'a field
+(** Present only when the reader returns [Some]; never required. *)
 
-val validate_file : string -> (unit, string list) result
+val obj : string -> ('a -> 'b) -> 'b field list -> 'a field
+(** A nested object built from the projected value. *)
+
+val rows : string -> ('a -> 'b list) -> 'b field list -> 'a field
+(** An array with one object per element. *)
+
+val map : ('a -> 'b) -> 'b field list -> 'a field list
+(** Read the same fields through a projection. *)
+
+type spec = { schema : string; required : (string * shape) list }
+(** What a document stamped with [schema] must carry. *)
+
+type 'a report
+
+val report : schema:string -> 'a field list -> 'a report
+
+val to_json : 'a report -> 'a -> Microjson.t
+(** The report object: ["schema"] first, then the fields in order. *)
+
+val spec : 'a report -> spec
+(** The required fields of the declaration, nested shapes included. *)
+
+val validate : spec list -> ctx:string -> Microjson.t -> (unit, string list) result
+(** Check one parsed document: its ["schema"] field must name one of
+    the [specs] and every required field must be present with the
+    declared shape, recursively.  [ctx] prefixes the error messages
+    (normally the file name).  [Error] collects every violation, not
+    just the first. *)
+
+val validate_file : spec list -> string -> (unit, string list) result
 (** {!validate} after {!Microjson.of_file}; parse and I/O errors are
     reported as a single-element [Error] rather than raised. *)

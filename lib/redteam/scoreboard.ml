@@ -111,55 +111,41 @@ let outcome_strings = function
   | Adversary.Completed -> ("completed", "")
   | Adversary.Detected reason -> ("detected", reason)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let f6 key get = Harness.Schema.fixed ~decimals:6 key get
 
-let to_json ~quick ~seed cells =
-  let b = Buffer.create 8_192 in
-  let f = Printf.sprintf "%.6f" in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"autarky-redteam/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" seed);
-  Buffer.add_string b "  \"cells\": [\n";
-  let last = List.length cells - 1 in
-  List.iteri
-    (fun i c ->
-      let outcome, reason = outcome_strings c.c_outcome in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"adversary\": \"%s\", \"policy\": \"%s\", \"mech\": \
-            \"%s\", \"outcome\": \"%s\", \"reason\": \"%s\", \"requests\": \
-            %d, \"alphabet\": %d, \"observations\": %d, \"bits_leaked\": %s, \
-            \"bits_ideal\": %s, \"guess_probability\": %s, \
-            \"blind_guess_probability\": %s, \"probes\": %d, \
-            \"terminations\": %d, \"termination_bits\": %s, \"digest\": \
-            \"%s\"}%s\n"
-           (json_escape c.c_adversary)
-           (Victim.policy_name c.c_policy)
-           (Victim.mech_name c.c_mech)
-           outcome (json_escape reason) c.c_requests c.c_alphabet
-           c.c_observations (f c.c_bits_leaked) (f c.c_bits_ideal)
-           (f c.c_guess_probability) (f c.c_blind_guess) c.c_probes
-           c.c_terminations
-           (f c.c_termination_bits)
-           (json_escape c.c_digest)
-           (if i = last then "" else ",")))
-    cells;
-  Buffer.add_string b "  ]\n";
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let report_decl =
+  Harness.Schema.(
+    report ~schema:"autarky-redteam/1"
+      [
+        bool "quick" (fun (quick, _, _) -> quick);
+        int "seed" (fun (_, seed, _) -> seed);
+        rows "cells" (fun (_, _, cells) -> cells)
+          [
+            str "adversary" (fun c -> c.c_adversary);
+            str "policy" (fun c -> Victim.policy_name c.c_policy);
+            str "mech" (fun c -> Victim.mech_name c.c_mech);
+            str "outcome" (fun c -> fst (outcome_strings c.c_outcome));
+            str "reason" (fun c -> snd (outcome_strings c.c_outcome));
+            int "requests" (fun c -> c.c_requests);
+            int "alphabet" (fun c -> c.c_alphabet);
+            int "observations" (fun c -> c.c_observations);
+            f6 "bits_leaked" (fun c -> c.c_bits_leaked);
+            f6 "bits_ideal" (fun c -> c.c_bits_ideal);
+            f6 "guess_probability" (fun c -> c.c_guess_probability);
+            f6 "blind_guess_probability" (fun c -> c.c_blind_guess);
+            int "probes" (fun c -> c.c_probes);
+            int "terminations" (fun c -> c.c_terminations);
+            f6 "termination_bits" (fun c -> c.c_termination_bits);
+            str "digest" (fun c -> c.c_digest);
+          ];
+      ])
+
+let spec = Harness.Schema.spec report_decl
+let to_json ~quick ~seed cells = Harness.Schema.to_json report_decl (quick, seed, cells)
+
+let write ~out ~quick ~seed cells =
+  Harness.Microjson.to_file out (to_json ~quick ~seed cells);
+  Printf.printf "wrote      : %s (%d cells)\n%!" out (List.length cells)
 
 let print_table cells =
   Printf.printf "  %-14s %-11s %-5s %-9s %12s %11s %6s %6s\n" "adversary"

@@ -61,9 +61,16 @@ val run :
     cell in a full run.  A mech filter never drops the baseline (which
     only exists on SGXv1). *)
 
-val to_json : quick:bool -> seed:int -> cell list -> string
+val spec : Harness.Schema.spec
+(** The [autarky-redteam/1] schema, derived from the report's one field
+    declaration. *)
+
+val to_json : quick:bool -> seed:int -> cell list -> Harness.Microjson.t
 (** The [autarky-redteam/1] document.  Contains no wall-clock or
     worker-count fields: byte-identical output at any [jobs]. *)
+
+val write : out:string -> quick:bool -> seed:int -> cell list -> unit
+(** Write {!to_json} to the file [out] and say so on stdout. *)
 
 val print_table : cell list -> unit
 (** Human-readable matrix on stdout. *)

@@ -280,93 +280,77 @@ let rel_error r =
   if r.rp_latency_method = "pooled-sketch" then Metrics.Sketch.relative_error
   else 0.0
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let f2 key get = Harness.Schema.fixed ~decimals:2 key get
+
+let summary_fields =
+  Harness.Schema.
+    [
+      int "count" (fun s -> s.Metrics.Stats.s_count);
+      f2 "mean" (fun s -> s.Metrics.Stats.s_mean);
+      f2 "p50" (fun s -> s.Metrics.Stats.s_p50);
+      f2 "p95" (fun s -> s.Metrics.Stats.s_p95);
+      f2 "p99" (fun s -> s.Metrics.Stats.s_p99);
+      f2 "max" (fun s -> s.Metrics.Stats.s_max);
+    ]
 
 (* The autarky-serve/2 report: fleet totals (including churn counts), the
    pooled latency roll-up labeled with its method and error bound, and
    one row per tenant.  [trace_digest] appears only when the run traced,
    so the untraced fleet baseline carries no such key. *)
-let to_json r =
-  let b = Buffer.create 65_536 in
-  let f = Printf.sprintf "%.2f" in
-  let summ s =
-    Printf.sprintf
-      "{\"count\": %d, \"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s, \
-       \"max\": %s}"
-      s.Metrics.Stats.s_count (f s.Metrics.Stats.s_mean)
-      (f s.Metrics.Stats.s_p50) (f s.Metrics.Stats.s_p95)
-      (f s.Metrics.Stats.s_p99) (f s.Metrics.Stats.s_max)
-  in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"autarky-serve/2\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" r.rp_quick);
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.rp_seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"tenants_n\": %d,\n" (List.length r.rp_tenants));
-  Buffer.add_string b (Printf.sprintf "  \"end_cycle\": %d,\n" r.rp_end_cycle);
-  Buffer.add_string b
-    (Printf.sprintf "  \"virtual_seconds\": %s,\n" (f r.rp_virtual_seconds));
-  Buffer.add_string b
-    (Printf.sprintf "  \"arbiter_moves\": %d,\n" r.rp_arbiter_moves);
-  Option.iter
-    (fun d ->
-      Buffer.add_string b
-        (Printf.sprintf "  \"trace_digest\": \"%s\",\n" (json_escape d)))
-    r.rp_digest;
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"totals\": {\"arrivals\": %d, \"served\": %d, \"shed\": %d, \
-        \"deadline_missed\": %d, \"joins\": %d, \"departures\": %d, \
-        \"refused\": %d, \"boot_cycles_total\": %d},\n"
-       r.rp_arrivals r.rp_served r.rp_shed r.rp_missed r.rp_joins
-       r.rp_departures r.rp_refused r.rp_boot_cycles_total);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"fleet_latency\": {\"method\": \"%s\", \"rel_error\": %.5f, \
-        \"count\": %d, \"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s, \
-        \"max\": %s},\n"
-       (json_escape r.rp_latency_method) (rel_error r)
-       r.rp_latency.Metrics.Stats.s_count (f r.rp_latency.Metrics.Stats.s_mean)
-       (f r.rp_latency.Metrics.Stats.s_p50) (f r.rp_latency.Metrics.Stats.s_p95)
-       (f r.rp_latency.Metrics.Stats.s_p99) (f r.rp_latency.Metrics.Stats.s_max));
-  Buffer.add_string b "  \"tenants\": [\n";
-  let last = List.length r.rp_tenants - 1 in
-  List.iteri
-    (fun i t ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"workload\": \"%s\", \"policy\": \"%s\", \
-            \"generator\": \"%s\", \"arrivals\": %d, \"served\": %d, \
-            \"shed\": %d, \"deadline_missed\": %d, \"terminations\": %d, \
-            \"restarts\": %d, \"refused\": %b, \"departed\": %b, \
-            \"arrive_after\": %d, \"depart_after\": %d, \"boot_cycles\": %d, \
-            \"faults\": %d, \"svc_mean_cycles\": %s, \"throughput_rps\": %s, \
-            \"shed_rate\": %s, \"latency_method\": \"%s\", \
-            \"latency_cycles\": %s}%s\n"
-           (json_escape t.tr_name) (json_escape t.tr_workload)
-           (json_escape t.tr_policy) (json_escape t.tr_generator) t.tr_arrivals
-           t.tr_served t.tr_shed t.tr_missed t.tr_terminations t.tr_restarts
-           t.tr_refused t.tr_departed t.tr_arrive_after t.tr_depart_after
-           t.tr_boot_cycles t.tr_faults (f t.tr_svc_mean_cycles)
-           (f t.tr_throughput_rps) (f t.tr_shed_rate)
-           (json_escape t.tr_latency_method) (summ t.tr_latency)
-           (if i = last then "" else ",")))
-    r.rp_tenants;
-  Buffer.add_string b "  ]\n";
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let report_decl =
+  Harness.Schema.(
+    report ~schema:"autarky-serve/2"
+      [
+        bool "quick" (fun r -> r.rp_quick);
+        int "seed" (fun r -> r.rp_seed);
+        int "tenants_n" (fun r -> List.length r.rp_tenants);
+        int "end_cycle" (fun r -> r.rp_end_cycle);
+        f2 "virtual_seconds" (fun r -> r.rp_virtual_seconds);
+        int "arbiter_moves" (fun r -> r.rp_arbiter_moves);
+        str_opt "trace_digest" (fun r -> r.rp_digest);
+        obj "totals" Fun.id
+          [
+            int "arrivals" (fun r -> r.rp_arrivals);
+            int "served" (fun r -> r.rp_served);
+            int "shed" (fun r -> r.rp_shed);
+            int "deadline_missed" (fun r -> r.rp_missed);
+            int "joins" (fun r -> r.rp_joins);
+            int "departures" (fun r -> r.rp_departures);
+            int "refused" (fun r -> r.rp_refused);
+            int "boot_cycles_total" (fun r -> r.rp_boot_cycles_total);
+          ];
+        obj "fleet_latency" Fun.id
+          (str "method" (fun r -> r.rp_latency_method)
+          :: fixed ~decimals:5 "rel_error" rel_error
+          :: map (fun r -> r.rp_latency) summary_fields);
+        rows "tenants" (fun r -> r.rp_tenants)
+          [
+            str "name" (fun t -> t.tr_name);
+            str "workload" (fun t -> t.tr_workload);
+            str "policy" (fun t -> t.tr_policy);
+            str "generator" (fun t -> t.tr_generator);
+            int "arrivals" (fun t -> t.tr_arrivals);
+            int "served" (fun t -> t.tr_served);
+            int "shed" (fun t -> t.tr_shed);
+            int "deadline_missed" (fun t -> t.tr_missed);
+            int "terminations" (fun t -> t.tr_terminations);
+            int "restarts" (fun t -> t.tr_restarts);
+            bool "refused" (fun t -> t.tr_refused);
+            bool "departed" (fun t -> t.tr_departed);
+            int "arrive_after" (fun t -> t.tr_arrive_after);
+            int "depart_after" (fun t -> t.tr_depart_after);
+            int "boot_cycles" (fun t -> t.tr_boot_cycles);
+            int "faults" (fun t -> t.tr_faults);
+            f2 "svc_mean_cycles" (fun t -> t.tr_svc_mean_cycles);
+            f2 "throughput_rps" (fun t -> t.tr_throughput_rps);
+            f2 "shed_rate" (fun t -> t.tr_shed_rate);
+            str "latency_method" (fun t -> t.tr_latency_method);
+            obj "latency_cycles" (fun t -> t.tr_latency) summary_fields;
+          ];
+      ])
+
+let spec = Harness.Schema.spec report_decl
+let to_json r = Harness.Schema.to_json report_decl r
 
 (* --- driver ------------------------------------------------------------ *)
 
@@ -430,9 +414,7 @@ let run ?(quick = false) ?(seed = 42) ?(no_arbiter = false) ?out ?(print = true)
   if print then print_summary r;
   Option.iter
     (fun file ->
-      let oc = open_out file in
-      output_string oc (to_json r);
-      close_out oc;
+      Harness.Microjson.to_file file (to_json r);
       if print then Printf.printf "serve: wrote %s\n" file)
     out;
   r

@@ -90,7 +90,11 @@ type scenario =
 
 val report_of_result : seed:int -> quick:bool -> Engine.result -> report
 
-val to_json : report -> string
+val spec : Harness.Schema.spec
+(** The ["autarky-serve/2"] schema, derived from the report's one field
+    declaration. *)
+
+val to_json : report -> Harness.Microjson.t
 (** Stable schema ["autarky-serve/2"]: fleet totals (including churn
     counts), the labeled fleet latency roll-up with its error bound,
     and one row per tenant; ["trace_digest"] only when the run traced.

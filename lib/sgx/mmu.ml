@@ -112,8 +112,3 @@ let translate_code m pt (enclave : Enclave.t) vaddr kind =
       r
     end
   end
-
-let translate m pt enclave vaddr kind =
-  match translate_code m pt enclave vaddr kind with
-  | 0 -> Ok ()
-  | code -> Error (cause_of_code code)

@@ -25,12 +25,6 @@ val translate_code :
 val cause_of_code : int -> Types.fault_cause
 (** The fault cause behind a negative {!translate_code} result. *)
 
-val translate :
-  Machine.t -> Page_table.t -> Enclave.t -> Types.vaddr ->
-  Types.access_kind -> (unit, Types.fault_cause) result
-(** {!translate_code} as a [result] — the boxed convenience form for
-    tests and benchmarks off the hot path. *)
-
 val os_report :
   Enclave.t -> Types.vaddr -> Types.access_kind -> Types.os_fault_report
 (** The fault information delivered to the untrusted OS: page-aligned

@@ -355,6 +355,19 @@ let test_defend_cell_escalates_and_recovers () =
   checkb "deterministic digest present" true
     (c.Defense.Defend.dl_digest <> None)
 
+let test_defend_json_validates () =
+  let cells =
+    Defense.Defend.run ~quick:true
+      ~adversaries:[ Defense.Waves.Copycat_storm ]
+      ~ladder_filter:[ "standard" ] ~seed:7 ~jobs:1 ()
+  in
+  let j = Defense.Defend.to_json ~quick:true ~seed:7 cells in
+  checkb "survives the writer and reader" true
+    (Harness.Microjson.(of_string (to_string j)) = j);
+  match Harness.Schema.validate [ Defense.Defend.spec ] ~ctx:"defense" j with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "defense JSON invalid: %s" (String.concat "; " es)
+
 let test_defend_filtered_sweep_reproduces_matrix () =
   (* Shard seeds are keyed to the canonical (unfiltered) matrix index,
      so a filtered sweep must reproduce the full matrix's cells
@@ -402,4 +415,5 @@ let suite =
      test_defend_cell_escalates_and_recovers);
     ("filtered sweep reproduces the matrix", `Quick,
      test_defend_filtered_sweep_reproduces_matrix);
+    ("defend json validates against its spec", `Quick, test_defend_json_validates);
   ]

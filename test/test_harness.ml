@@ -1,5 +1,6 @@
 (* Tests for the harness: system wiring, address-space carving,
-   measurement, and the report formatters. *)
+   measurement, the report formatters, and the JSON path (writer,
+   strict reader, schemas derived from the report writers). *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -103,6 +104,16 @@ let contains ~affix s =
   let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
   m = 0 || go 0
 
+(* The specs [bench-validate] checks committed reports against. *)
+let validate =
+  Harness.Schema.validate
+    [
+      Harness.Perf.spec;
+      Serve.Driver.spec;
+      Redteam.Scoreboard.spec;
+      Defense.Defend.spec;
+    ]
+
 let mini_serve2 =
   {|{
   "schema": "autarky-serve/2",
@@ -131,14 +142,14 @@ let mini_serve2 =
 
 let test_schema_accepts_valid () =
   match
-    Harness.Schema.validate ~ctx:"mini" (Harness.Microjson.of_string mini_serve2)
+    validate ~ctx:"mini" (Harness.Microjson.of_string mini_serve2)
   with
   | Ok () -> ()
   | Error es -> Alcotest.failf "unexpected errors: %s" (String.concat "; " es)
 
 let test_schema_rejects_unknown () =
   let doc = {|{"schema": "autarky-mystery/9", "quick": true}|} in
-  match Harness.Schema.validate ~ctx:"x" (Harness.Microjson.of_string doc) with
+  match validate ~ctx:"x" (Harness.Microjson.of_string doc) with
   | Ok () -> Alcotest.fail "unknown schema accepted"
   | Error [ e ] ->
     Alcotest.(check bool) "mentions schema" true
@@ -147,7 +158,7 @@ let test_schema_rejects_unknown () =
 
 let test_schema_rejects_missing_schema_field () =
   match
-    Harness.Schema.validate ~ctx:"x" (Harness.Microjson.of_string {|{"quick": true}|})
+    validate ~ctx:"x" (Harness.Microjson.of_string {|{"quick": true}|})
   with
   | Ok () -> Alcotest.fail "schemaless document accepted"
   | Error _ -> ()
@@ -171,7 +182,7 @@ let test_schema_rejects_missing_row_key () =
         (i + String.length needle)
         (String.length mini_serve2 - i - String.length needle)
   in
-  match Harness.Schema.validate ~ctx:"x" (Harness.Microjson.of_string doc) with
+  match validate ~ctx:"x" (Harness.Microjson.of_string doc) with
   | Ok () -> Alcotest.fail "missing row key accepted"
   | Error es ->
     Alcotest.(check bool) "names the key" true
@@ -183,7 +194,7 @@ let test_schema_rejects_wrong_shape () =
        "end_cycle": 0, "virtual_seconds": 0, "arbiter_moves": 0,
        "totals": {}, "fleet_latency": {}, "tenants": []}|}
   in
-  match Harness.Schema.validate ~ctx:"x" (Harness.Microjson.of_string doc) with
+  match validate ~ctx:"x" (Harness.Microjson.of_string doc) with
   | Ok () -> Alcotest.fail "bool-typed field accepted as number"
   | Error es ->
     Alcotest.(check bool) "names quick" true
@@ -197,6 +208,81 @@ let test_perf_check_exact_at_zero_tolerance () =
   let ok = Harness.Perf.check ~baseline:file ~tolerance:0. () in
   Sys.remove file;
   checkb "re-run equals its own baseline at tolerance 0" true ok
+
+let test_perf_json_validates () =
+  let r = Harness.Perf.run ~quick:true ~seed:5 () in
+  let j = Harness.Perf.to_json r in
+  checkb "survives the writer and reader" true
+    (Harness.Microjson.(of_string (to_string j)) = j);
+  match Harness.Schema.validate [ Harness.Perf.spec ] ~ctx:"perf" j with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "perf JSON invalid: %s" (String.concat "; " es)
+
+(* --- the JSON reader is strict --------------------------------------- *)
+
+let rejects input () =
+  match Harness.Microjson.of_string input with
+  | _ -> Alcotest.failf "accepted %S" input
+  | exception Harness.Microjson.Parse_error _ -> ()
+
+(* A malformed file is a typed validation error, not an exception. *)
+let test_bad_escape_file_is_an_error () =
+  let file = Filename.temp_file "bad_escape" ".json" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc {|{"schema": "\uZZZZ"}|});
+  let r = Harness.Schema.validate_file [ Harness.Perf.spec ] file in
+  Sys.remove file;
+  match r with
+  | Error [ e ] -> checkb "parse error" true (contains ~affix:"parse error" e)
+  | Error es -> Alcotest.failf "expected one error, got %d" (List.length es)
+  | Ok () -> Alcotest.fail "bad escape accepted"
+
+let test_reader_keeps_number_text () =
+  let j = Harness.Microjson.of_string {|{"a": 1.50, "b": -0, "c": 2e-3}|} in
+  Alcotest.(check string) "re-printed byte for byte"
+    "{\n  \"a\": 1.50,\n  \"b\": -0,\n  \"c\": 2e-3\n}\n"
+    (Harness.Microjson.to_string j);
+  Alcotest.(check (float 1e-12)) "num reads the float" 1.5
+    (Harness.Microjson.num ~ctx:"a" (Option.get (Harness.Microjson.member "a" j)))
+
+let gen_json =
+  let open QCheck2.Gen in
+  let module J = Harness.Microjson in
+  let str =
+    string_size
+      ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031' ] ])
+      (int_range 0 8)
+  in
+  let num =
+    oneof
+      [
+        map J.int int;
+        map2 (fun decimals f -> J.fixed ~decimals f) (int_range 0 6)
+          (float_range (-1e6) 1e6);
+      ]
+  in
+  let scalar =
+    oneof [ pure J.Null; map (fun b -> J.Bool b) bool; num; map (fun s -> J.Str s) str ]
+  in
+  sized_size (int_range 0 24)
+  @@ fix (fun self n ->
+         if n <= 0 then scalar
+         else
+           oneof
+             [
+               scalar;
+               map (fun l -> J.Arr l) (list_size (int_range 0 4) (self (n / 3)));
+               map (fun l -> J.Obj l)
+                 (list_size (int_range 0 4) (pair str (self (n / 3))));
+             ])
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck2.Test.make ~name:"json of_string (to_string v) = v" ~count:500
+        ~print:Harness.Microjson.to_string gen_json
+        (fun v -> Harness.Microjson.(of_string (to_string v)) = v);
+    ]
 
 let suite =
   [
@@ -219,4 +305,12 @@ let suite =
     ("schema rejects wrong shape", `Quick, test_schema_rejects_wrong_shape);
     ("perf check exact at tolerance 0", `Quick,
      test_perf_check_exact_at_zero_tolerance);
+    ("perf json validates against its spec", `Quick, test_perf_json_validates);
+    ("json rejects a bad \\u escape", `Quick, rejects {|{"schema": "\uZZZZ"}|});
+    ("json rejects 1.", `Quick, rejects "1.");
+    ("json rejects a raw tab in a string", `Quick, rejects "\"a\tb\"");
+    ("bad escape file is a validation error", `Quick,
+     test_bad_escape_file_is_an_error);
+    ("json keeps number text", `Quick, test_reader_keeps_number_text);
   ]
+  @ qcheck_cases

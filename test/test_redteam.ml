@@ -187,8 +187,22 @@ let test_scoreboard_jobs_deterministic () =
   let j1 = run 1 and j4 = run 4 in
   checki "six cells" 6 (List.length j1);
   checks "byte-identical reports"
-    (Redteam.Scoreboard.to_json ~quick:true ~seed:11 j1)
-    (Redteam.Scoreboard.to_json ~quick:true ~seed:11 j4)
+    (Harness.Microjson.to_string (Redteam.Scoreboard.to_json ~quick:true ~seed:11 j1))
+    (Harness.Microjson.to_string (Redteam.Scoreboard.to_json ~quick:true ~seed:11 j4))
+
+let test_scoreboard_json_validates () =
+  let cells =
+    Redteam.Scoreboard.run ~quick:true
+      ~adversaries:[ Redteam.Copycat.adversary ]
+      ~policies:[ Redteam.Victim.Baseline; Redteam.Victim.Clusters ]
+      ~seed:11 ~jobs:1 ()
+  in
+  let j = Redteam.Scoreboard.to_json ~quick:true ~seed:11 cells in
+  checkb "survives the writer and reader" true
+    (Harness.Microjson.(of_string (to_string j)) = j);
+  match Harness.Schema.validate [ Redteam.Scoreboard.spec ] ~ctx:"redteam" j with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "redteam JSON invalid: %s" (String.concat "; " es)
 
 let test_scoreboard_masked_cell () =
   (* The acceptance cell: a policy under which an adversary's take is
@@ -235,4 +249,6 @@ let suite =
       test_scoreboard_jobs_deterministic;
     Alcotest.test_case "scoreboard: autarky masks the copycat cell" `Quick
       test_scoreboard_masked_cell;
+    Alcotest.test_case "scoreboard: json validates against its spec" `Quick
+      test_scoreboard_json_validates;
   ]

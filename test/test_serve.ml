@@ -7,6 +7,9 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
+(* The report as written to disk. *)
+let json r = Harness.Microjson.to_string (Serve.Driver.to_json r)
+
 (* --- event queue ------------------------------------------------------- *)
 
 let test_event_queue_ordering () =
@@ -105,14 +108,14 @@ let test_fixed_seed_determinism () =
       (small_cfgs ())
   in
   let r1 = run () and r2 = run () in
-  checks "identical reports" (Serve.Driver.to_json r1) (Serve.Driver.to_json r2);
+  checks "identical reports" (json r1) (json r2);
   checkb "digest present" true (r1.Serve.Driver.rp_digest <> None);
   checks "identical trace digests"
     (Option.get r1.Serve.Driver.rp_digest)
     (Option.get r2.Serve.Driver.rp_digest);
   checkb "digest written to the JSON" true
     (Harness.Microjson.member "trace_digest"
-       (Harness.Microjson.of_string (Serve.Driver.to_json r1))
+       (Serve.Driver.to_json r1)
     = Some (Harness.Microjson.Str (Option.get r1.Serve.Driver.rp_digest)))
 
 let test_admission_accounting () =
@@ -351,8 +354,8 @@ let test_json_unchanged_by_sketch_flag_default () =
       ~params:{ (params ()) with Serve.Engine.p_sketch = false }
       (small_cfgs ())
   in
-  checks "identical JSON" (Serve.Driver.to_json r1)
-    (Serve.Driver.to_json r2)
+  checks "identical JSON" (json r1)
+    (json r2)
 
 (* --- new generators in the engine --------------------------------------- *)
 
@@ -374,7 +377,7 @@ let test_heavy_tail_and_diurnal_deterministic () =
   in
   let run () = run_scenario ~params:(params ()) cfgs in
   let r1 = run () and r2 = run () in
-  checks "identical reports" (Serve.Driver.to_json r1) (Serve.Driver.to_json r2);
+  checks "identical reports" (json r1) (json r2);
   List.iter
     (fun t ->
       checki
@@ -437,8 +440,8 @@ let test_churn_deterministic () =
     run_scenario ~params:(params ()) (churn_cfgs ())
   in
   let r1 = run () and r2 = run () in
-  checks "identical churn reports" (Serve.Driver.to_json r1)
-    (Serve.Driver.to_json r2)
+  checks "identical churn reports" (json r1)
+    (json r2)
 
 let test_churn_join_goes_through_monitor () =
   (* A parked tenant's cold start goes through the restart monitor like
@@ -529,8 +532,8 @@ let test_fleet_scale_json_validates () =
     (fleet.Serve.Driver.rp_digest = None && default.Serve.Driver.rp_digest <> None);
   List.iter
     (fun (ctx, r) ->
-      let j = Harness.Microjson.of_string (Serve.Driver.to_json r) in
-      (match Harness.Schema.validate ~ctx j with
+      let j = Harness.Microjson.of_string (json r) in
+      (match Harness.Schema.validate [ Serve.Driver.spec ] ~ctx j with
       | Ok () -> ()
       | Error es -> Alcotest.failf "serve/2 JSON invalid: %s" (String.concat "; " es));
       checkb (ctx ^ ": schema") true

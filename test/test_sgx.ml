@@ -7,6 +7,12 @@ open Sgx
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* One enclave-mode access through the unboxed MMU path, as a result. *)
+let translate m pt e va kind =
+  match Mmu.translate_code m pt e va kind with
+  | 0 -> Ok ()
+  | code -> Error (Mmu.cause_of_code code)
+
 (* --- EPC / EPCM ------------------------------------------------------- *)
 
 let test_epc_alloc_release () =
@@ -154,9 +160,9 @@ let test_mmu_hit_after_walk () =
   let m = Helpers.machine () in
   let e, pt = Helpers.enclave_with_pages m in
   let va = Helpers.vaddr_of e 0 in
-  checkb "first access ok" true (Mmu.translate m pt e va Types.Read = Ok ());
+  checkb "first access ok" true (translate m pt e va Types.Read = Ok ());
   let misses = Metrics.Counters.get (Machine.counters m) "mmu.tlb_miss" in
-  checkb "second access TLB hit" true (Mmu.translate m pt e va Types.Read = Ok ());
+  checkb "second access TLB hit" true (translate m pt e va Types.Read = Ok ());
   checki "no extra miss" misses
     (Metrics.Counters.get (Machine.counters m) "mmu.tlb_miss")
 
@@ -164,11 +170,11 @@ let test_mmu_legacy_sets_ad_bits () =
   let m = Helpers.machine () in
   let e, pt = Helpers.enclave_with_pages m in
   let vp = e.base_vpage in
-  ignore (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Read);
+  ignore (translate m pt e (Helpers.vaddr_of e 0) Types.Read);
   let p = Page_table.find_packed pt vp in
   checkb "accessed set" true (Page_table.p_accessed p);
   checkb "dirty not set on read" false (Page_table.p_dirty p);
-  ignore (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Write);
+  ignore (translate m pt e (Helpers.vaddr_of e 0) Types.Write);
   (* write with RO TLB entry forces re-walk and sets dirty *)
   checkb "dirty set on write" true
     (Page_table.p_dirty (Page_table.find_packed pt vp))
@@ -178,7 +184,7 @@ let test_mmu_not_present_fault () =
   let e, pt = Helpers.enclave_with_pages m in
   Page_table.unmap pt e.base_vpage;
   checkb "not-present fault" true
-    (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Read
+    (translate m pt e (Helpers.vaddr_of e 0) Types.Read
     = Error Types.Not_present)
 
 let test_mmu_permission_fault () =
@@ -186,7 +192,7 @@ let test_mmu_permission_fault () =
   let e, pt = Helpers.enclave_with_pages m in
   Page_table.set_perms pt e.base_vpage Types.perms_ro;
   checkb "write to RO faults" true
-    (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Write
+    (translate m pt e (Helpers.vaddr_of e 0) Types.Write
     = Error (Types.Permission Types.Write))
 
 let test_mmu_epcm_mismatch_wrong_frame () =
@@ -196,7 +202,7 @@ let test_mmu_epcm_mismatch_wrong_frame () =
   let f1 = Option.get (Epc.frame_of m.epc ~enclave_id:e.id ~vpage:(e.base_vpage + 1)) in
   Page_table.set_frame pt e.base_vpage f1;
   checkb "EPCM mismatch" true
-    (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Read
+    (translate m pt e (Helpers.vaddr_of e 0) Types.Read
     = Error Types.Epcm_mismatch)
 
 let test_mmu_non_epc_mapping () =
@@ -204,14 +210,14 @@ let test_mmu_non_epc_mapping () =
   let e, pt = Helpers.enclave_with_pages m in
   Page_table.set_frame pt e.base_vpage 9999;
   checkb "non-EPC mapping faults" true
-    (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Read
+    (translate m pt e (Helpers.vaddr_of e 0) Types.Read
     = Error Types.Non_epc_mapping)
 
 let test_mmu_outside_enclave_rejected () =
   let m = Helpers.machine () in
   let e, pt = Helpers.enclave_with_pages m in
   checkb "outside region is a simulator bug" true
-    (try ignore (Mmu.translate m pt e 0x42 Types.Read); false
+    (try ignore (translate m pt e 0x42 Types.Read); false
      with Types.Sgx_error _ -> true)
 
 (* --- MMU: Autarky semantics ------------------------------------------- *)
@@ -221,12 +227,12 @@ let test_mmu_autarky_ad_clear_faults () =
   let e, pt = Helpers.enclave_with_pages ~self_paging:true m in
   (* Pages mapped with A/D set: access works. *)
   checkb "preset A/D ok" true
-    (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Read = Ok ());
+    (translate m pt e (Helpers.vaddr_of e 0) Types.Read = Ok ());
   (* OS clears the accessed bit and flushes: next walk faults. *)
   Page_table.clear_accessed pt e.base_vpage;
   Tlb.flush_page m.tlb e.base_vpage;
   checkb "cleared A faults" true
-    (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Read = Error Types.Ad_clear)
+    (translate m pt e (Helpers.vaddr_of e 0) Types.Read = Error Types.Ad_clear)
 
 let test_mmu_autarky_dirty_clear_faults () =
   let m = Helpers.machine () in
@@ -234,12 +240,12 @@ let test_mmu_autarky_dirty_clear_faults () =
   Page_table.clear_dirty pt e.base_vpage;
   Tlb.flush_page m.tlb e.base_vpage;
   checkb "cleared D faults even for reads" true
-    (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Read = Error Types.Ad_clear)
+    (translate m pt e (Helpers.vaddr_of e 0) Types.Read = Error Types.Ad_clear)
 
 let test_mmu_autarky_never_writes_ad () =
   let m = Helpers.machine () in
   let e, pt = Helpers.enclave_with_pages ~self_paging:true m in
-  ignore (Mmu.translate m pt e (Helpers.vaddr_of e 0) Types.Write);
+  ignore (translate m pt e (Helpers.vaddr_of e 0) Types.Write);
   let p = Page_table.find_packed pt e.base_vpage in
   (* Bits were preset by the OS; the walk must not have needed to write
      them (they stay as installed). *)
@@ -422,10 +428,10 @@ let test_blocked_page_faults () =
   let m = Helpers.machine () in
   let e, pt = Helpers.enclave_with_pages m in
   let vp = e.base_vpage + 4 in
-  ignore (Mmu.translate m pt e (Types.vaddr_of_vpage vp) Types.Read);
+  ignore (translate m pt e (Types.vaddr_of_vpage vp) Types.Read);
   Instructions.eblock m e ~vpage:vp;
   checkb "blocked page faults on next walk" true
-    (Mmu.translate m pt e (Types.vaddr_of_vpage vp) Types.Read
+    (translate m pt e (Types.vaddr_of_vpage vp) Types.Read
     = Error Types.Not_present)
 
 let test_epa_capacity () =
@@ -455,13 +461,13 @@ let test_eaug_pending_blocks_access () =
       ~dirty:true ()
   | Error `Epc_full -> Alcotest.fail "epc full");
   checkb "pending page faults" true
-    (Mmu.translate m pt e (Types.vaddr_of_vpage vp) Types.Read
+    (translate m pt e (Types.vaddr_of_vpage vp) Types.Read
     = Error Types.Epcm_pending);
   let data = Page_data.create () in
   Page_data.fill_int data 777;
   Instructions.eacceptcopy m e ~vpage:vp ~data;
   checkb "accepted page accessible" true
-    (Mmu.translate m pt e (Types.vaddr_of_vpage vp) Types.Read = Ok ())
+    (translate m pt e (Types.vaddr_of_vpage vp) Types.Read = Ok ())
 
 let test_emodpr_eaccept_flow () =
   let m = Helpers.machine () in
@@ -469,14 +475,14 @@ let test_emodpr_eaccept_flow () =
   let vp = e.base_vpage + 1 in
   Instructions.emodpr m e ~vpage:vp ~perms:Types.perms_ro;
   checkb "modified page faults" true
-    (Mmu.translate m pt e (Types.vaddr_of_vpage vp) Types.Read
+    (translate m pt e (Types.vaddr_of_vpage vp) Types.Read
     = Error Types.Epcm_pending);
   Instructions.eaccept m e ~vpage:vp;
   checkb "read ok after accept" true
-    (Mmu.translate m pt e (Types.vaddr_of_vpage vp) Types.Read = Ok ());
+    (translate m pt e (Types.vaddr_of_vpage vp) Types.Read = Ok ());
   Tlb.flush m.tlb;
   checkb "write blocked by EPCM perms" true
-    (Mmu.translate m pt e (Types.vaddr_of_vpage vp) Types.Write
+    (translate m pt e (Types.vaddr_of_vpage vp) Types.Write
     = Error (Types.Permission Types.Write))
 
 let test_emodpr_cannot_extend () =
